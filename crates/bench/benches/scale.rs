@@ -1,6 +1,6 @@
 //! Multi-core batch-solve scaling: the deterministic chunked
-//! `evaluate_batch` path at several worker counts, the warm read-pass
-//! upper bound, and the raw structure-of-arrays `solve_batch` kernel.
+//! `evaluate_batch` path at several worker counts and the warm
+//! all-hits upper bound.
 //! The full ~1M-point jitter × error × permutation sweep lives in the
 //! `scale` bin, which records BENCH_scale.json; this bench carries the
 //! CI-checkable rows (`scale/cold_1024pts_jobs/1`, `scale/warm_1024pts`)
@@ -12,8 +12,7 @@
 //! — are identical. CI runs this gate via `--test`.
 
 use carta_bench::{case_study, scale_batch_1k, scale_perms, scale_point};
-use carta_can::prelude::{CompiledBus, RtaWorkspace, SolvePoint};
-use carta_engine::prelude::{BaseSystem, Evaluator, Parallelism, Scenario, SystemVariant};
+use carta_engine::prelude::{BaseSystem, Evaluator, Parallelism, SystemVariant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -100,40 +99,6 @@ fn bench_scale(c: &mut Criterion) {
         b.iter(|| black_box(warm.evaluate_batch(&points)))
     });
 
-    // The raw SoA kernel under the engine: one CompiledBus, per-message
-    // activation/deadline vectors laid out once, the whole jitter
-    // ladder solved in one `solve_batch` call.
-    let scenario = Scenario::worst_case();
-    let config = scenario.analysis_config();
-    let model = scenario.errors.model();
-    let base = BaseSystem::new(case_study());
-    let n = base.network().messages().len();
-    let compiled = CompiledBus::compile(base.network(), config.stuffing).expect("valid case study");
-    let variants: Vec<SystemVariant> = (0..64)
-        .map(|i| {
-            SystemVariant::new(base.clone(), scenario.clone()).with_jitter_ratio(i as f64 / 64.0)
-        })
-        .collect();
-    let solve_points: Vec<SolvePoint> = variants
-        .iter()
-        .map(|v| {
-            let mut p = SolvePoint::new();
-            p.fill_with(n, |i| v.solve_row(i));
-            p
-        })
-        .collect();
-    // The SoA batch must agree bit-for-bit with per-point solves.
-    let mut gate_ws = RtaWorkspace::new();
-    let (batch_reports, _) =
-        compiled.solve_batch(&solve_points, model.as_ref(), &config, &mut gate_ws);
-    for (point, fast) in solve_points.iter().zip(&batch_reports) {
-        let naive = compiled.solve_point(point, model.as_ref(), &config, &mut RtaWorkspace::new());
-        assert_eq!(&naive, fast, "solve_batch diverged from solve_point");
-    }
-    let mut ws = RtaWorkspace::new();
-    group.bench_function("solve_batch_soa_64pts", |b| {
-        b.iter(|| black_box(compiled.solve_batch(&solve_points, model.as_ref(), &config, &mut ws)))
-    });
     group.finish();
 }
 

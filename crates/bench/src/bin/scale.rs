@@ -205,8 +205,8 @@ fn main() {
                 .string("id", "scale/warm_1024pts")
                 .string(
                     "description",
-                    "same batch against a pre-warmed memo cache: the chunked read pass \
-                     answers every point without solving",
+                    "same batch against a pre-warmed memo cache: every point \
+                     is a cache hit and nothing is solved",
                 )
                 .num("median_us", (warm_s * 1e9).round() / 1e3)
                 .build(),

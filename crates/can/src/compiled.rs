@@ -56,19 +56,21 @@
 //! would, the produced [`BusReport`] is bit-identical either way (the
 //! `compiled-equals-naive` fuzz law in `carta-testkit` pins this).
 //!
-//! # Structure-of-arrays batch solving
+//! # One solve loop
 //!
 //! The solve phase reads exactly two things that vary between sweep
 //! points: the activation models and the resolved deadlines. A
-//! [`SolvePoint`] carries just those two dense vectors, and
-//! [`CompiledBus::solve_batch`] iterates the solve over a slice of
-//! points against the compiled `c_max`/`c_min`/interference tables laid
-//! out once — no per-point network materialization, no per-point
-//! re-walk of message structs, and the per-batch setup (error-model
-//! description, mutation hook) hoisted out of the loop.
-//! [`CompiledBus::solve`] is the 1-point case of the same core, so
-//! batch and per-point solves are bit-identical against the same
-//! workspace sequence.
+//! [`SolvePoint`] carries just those two dense vectors, so batch
+//! workloads solve against the compiled `c_max`/`c_min`/interference
+//! tables without materializing a network per point.
+//! [`CompiledBus::solve_point_with`] is the one per-message loop: it
+//! optionally polls a cancel token and optionally reuses the verdicts
+//! of a previous report under another identifier assignment (the
+//! incremental solve). [`CompiledBus::solve`],
+//! [`CompiledBus::solve_point`] and [`CompiledBus::solve_incremental`]
+//! are thin wrappers around it, and `MessageRow` is the one
+//! definition of the interference set, blocking term and per-hit error
+//! cost that both the compiled tables and [`crate::opa`] use.
 
 use crate::backend::BackendConfig;
 use crate::controller::ControllerType;
@@ -77,7 +79,8 @@ use crate::frame::{bit_time, StuffingMode};
 use crate::message::CanId;
 use crate::network::CanNetwork;
 use crate::rta::{
-    test_mutations, AnalysisConfig, BusReport, IncrementalStats, MessageReport, ResponseOutcome,
+    c_max_vector, test_mutations, AnalysisConfig, BusReport, IncrementalStats, MessageReport,
+    ResponseOutcome,
 };
 use carta_core::analysis::{AnalysisError, DivergenceCause, MessageDiagnostic, ResponseBounds};
 use carta_core::cancel::CancelToken;
@@ -153,9 +156,8 @@ pub struct SolveStats {
 /// One solve-phase input in structure-of-arrays form: the per-message
 /// activation models and resolved deadlines — everything the solve
 /// phase reads that is not already in the compiled tables. Batch
-/// workloads lay points out once and feed slices of them to
-/// [`CompiledBus::solve_batch`] without materializing a network per
-/// point.
+/// workloads fill one point per variant and hand it to
+/// [`CompiledBus::solve_point`] without materializing a network.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolvePoint {
     activations: Vec<EventModel>,
@@ -366,7 +368,7 @@ impl CompiledBus {
         let n = msgs.len();
         let rate = net.bit_rate();
         let backend = net.backend();
-        let c_max = crate::rta::c_max_vector(net, stuffing);
+        let c_max = c_max_vector(net, stuffing);
         let c_min: Vec<Time> = msgs
             .iter()
             .map(|m| backend.c_min(m.id.kind(), m.dlc, rate))
@@ -375,7 +377,6 @@ impl CompiledBus {
         let mut interference = Vec::with_capacity(n);
         let mut blocking = Vec::with_capacity(n);
         let mut per_hit = Vec::with_capacity(n);
-        let error_frame = Time::from_bits(backend.backend().error_frame_bits(), rate);
         for (i, m) in msgs.iter().enumerate() {
             let key = m.id.arbitration_key();
             let hp_i: Vec<usize> = (0..n)
@@ -384,24 +385,11 @@ impl CompiledBus {
             let lp_i: Vec<usize> = (0..n)
                 .filter(|&j| j != i && msgs[j].id.arbitration_key() > key)
                 .collect();
-            let interference_i: Vec<usize> = match net.controller_of(m) {
-                ControllerType::FullCan => hp_i.clone(),
-                ControllerType::BasicCan | ControllerType::FifoQueue { .. } => {
-                    let mut set = hp_i.clone();
-                    set.extend(lp_i.iter().copied().filter(|&j| msgs[j].sender != m.sender));
-                    set
-                }
-            };
-            let retx = interference_i
-                .iter()
-                .map(|&j| c_max[j])
-                .max()
-                .unwrap_or(c_max[i])
-                .max(c_max[i]);
-            blocking.push(crate::rta::blocking_for(net, i, &c_max, &lp_i));
-            per_hit.push(error_frame + retx);
+            let row = MessageRow::new(net, &c_max, i, &hp_i, &lp_i);
             hp.push(hp_i);
-            interference.push(interference_i);
+            interference.push(row.interference);
+            blocking.push(row.blocking);
+            per_hit.push(row.per_hit);
         }
         CompiledBus {
             epoch: next_epoch(),
@@ -441,8 +429,10 @@ impl CompiledBus {
         self.backend
     }
 
-    /// The higher-priority index sets (see
-    /// [`crate::rta::hp_index_sets`]).
+    /// The higher-priority index sets: `hp_sets()[i]` holds the
+    /// indices of all messages that out-arbitrate message `i`, in
+    /// ascending index order. With the report of a solve they form the
+    /// reuse input of [`CompiledBus::solve_incremental`].
     pub fn hp_sets(&self) -> &[Vec<usize>] {
         &self.hp
     }
@@ -548,9 +538,9 @@ impl CompiledBus {
         report
     }
 
-    /// The 1-point case of [`CompiledBus::solve_batch`]: solves one
-    /// structure-of-arrays point against the compiled tables, with the
-    /// same warm-start behavior as [`CompiledBus::solve`].
+    /// Solves one structure-of-arrays point against the compiled
+    /// tables, with the same warm-start behavior as
+    /// [`CompiledBus::solve`].
     ///
     /// # Panics
     ///
@@ -563,97 +553,79 @@ impl CompiledBus {
         config: &AnalysisConfig,
         ws: &mut RtaWorkspace,
     ) -> BusReport {
-        let desc = errors.describe();
-        let hook = test_mutations::drop_blocking();
-        match self.solve_core(point, errors, &desc, hook, config, None, ws) {
-            Ok(report) => report,
-            // solve_core only aborts when a token trips; `None` cannot.
-            Err(_) => unreachable!("uncancellable solve reported cancellation"),
-        }
+        let Ok((report, _)) = self.solve_point_with(point, errors, config, None, None, ws) else {
+            unreachable!("a solve without a cancel token never aborts");
+        };
+        report
     }
 
-    /// Like [`CompiledBus::solve_point`], but polls `cancel` between
-    /// per-message busy-window fixpoints. A tripped token abandons the
-    /// point *whole* — `Err(AnalysisError::Cancelled)`, never a partial
-    /// report — and invalidates the workspace's warm state so a
-    /// half-solved point can never seed a later warm start. Points that
-    /// complete before the trip are bit-identical to an uncancelled
-    /// solve.
+    /// Priority-aware incremental solve of `net`, which must differ
+    /// from the network behind `previous` **only in its identifier
+    /// assignment** (same messages in the same order, same activations,
+    /// deadline policies, senders and controllers — exactly what an
+    /// identifier-permutation overlay produces); `previous_hp` are the
+    /// [`CompiledBus::hp_sets`] that report was solved with. See
+    /// [`CompiledBus::solve_point_with`] for which verdicts are reused
+    /// and when the solve falls back to a full one.
+    pub fn solve_incremental(
+        &self,
+        net: &CanNetwork,
+        errors: &dyn ErrorModel,
+        config: &AnalysisConfig,
+        previous: &BusReport,
+        previous_hp: &[Vec<usize>],
+    ) -> (BusReport, IncrementalStats) {
+        let Ok(solved) = self.solve_point_with(
+            &SolvePoint::from_network(net),
+            errors,
+            config,
+            Some((previous, previous_hp)),
+            None,
+            &mut RtaWorkspace::new(),
+        ) else {
+            unreachable!("a solve without a cancel token never aborts");
+        };
+        solved
+    }
+
+    /// The solve loop behind every other solve method: one SoA point
+    /// against the compiled tables, warm-started from `ws` where the
+    /// dominance gate allows.
+    ///
+    /// `previous` — a report of this topology under another identifier
+    /// assignment plus the higher-priority sets it was solved with —
+    /// makes the solve incremental: a message whose higher-priority set,
+    /// name and deadline are unchanged keeps its previous verdict
+    /// without running its busy window, and only the others are
+    /// recomputed. The report is used only when it is comparable (same
+    /// message count, stuffing, backend, error model and frame-time
+    /// vectors); otherwise the solve runs in full, so a contract
+    /// violation degrades performance, not correctness — except for
+    /// activation changes, which a [`BusReport`] cannot show and remain
+    /// the caller's responsibility. An incremental solve neither reads
+    /// nor seeds warm-start state: reused rows carry no converged
+    /// windows.
+    ///
+    /// `cancel`, when present, is polled between per-message fixpoints.
+    /// A tripped token abandons the point *whole* —
+    /// `Err(AnalysisError::Cancelled)`, never a partial report — and
+    /// invalidates the workspace's warm state so a half-solved point can
+    /// never seed a later warm start. Points that complete before the
+    /// trip are bit-identical to an uncancelled solve.
     ///
     /// # Panics
     ///
     /// Panics if `config.stuffing` differs from the compiled mode or
     /// the point's message count differs from the compiled topology.
-    pub fn solve_point_cancellable(
+    pub fn solve_point_with(
         &self,
         point: &SolvePoint,
         errors: &dyn ErrorModel,
         config: &AnalysisConfig,
-        cancel: &CancelToken,
-        ws: &mut RtaWorkspace,
-    ) -> Result<BusReport, AnalysisError> {
-        let desc = errors.describe();
-        let hook = test_mutations::drop_blocking();
-        self.solve_core(point, errors, &desc, hook, config, Some(cancel), ws)
-    }
-
-    /// Iterates the solve phase over a slice of SoA points against the
-    /// compiled per-message vectors laid out once, carrying warm-start
-    /// state from point to point through `ws` under the usual dominance
-    /// gate. Per-batch setup (error-model description, mutation-hook
-    /// probe) is hoisted out of the loop; each point is otherwise
-    /// solved exactly like [`CompiledBus::solve_point`], so the reports
-    /// are bit-identical to per-point solves against the same workspace
-    /// sequence. Returns the reports plus the batch's aggregated
-    /// [`SolveStats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.stuffing` differs from the compiled mode or
-    /// any point's message count differs from the compiled topology.
-    pub fn solve_batch(
-        &self,
-        points: &[SolvePoint],
-        errors: &dyn ErrorModel,
-        config: &AnalysisConfig,
-        ws: &mut RtaWorkspace,
-    ) -> (Vec<BusReport>, SolveStats) {
-        let desc = errors.describe();
-        let hook = test_mutations::drop_blocking();
-        let mut agg = SolveStats::default();
-        let reports = points
-            .iter()
-            .map(|point| {
-                let report = match self.solve_core(point, errors, &desc, hook, config, None, ws) {
-                    Ok(report) => report,
-                    Err(_) => unreachable!("uncancellable solve reported cancellation"),
-                };
-                agg.warm_messages += ws.last.warm_messages;
-                agg.cold_messages += ws.last.cold_messages;
-                agg.iterations += ws.last.iterations;
-                agg.iters_saved += ws.last.iters_saved;
-                report
-            })
-            .collect();
-        (reports, agg)
-    }
-
-    /// The shared solve core: one SoA point against the compiled
-    /// tables. `desc` and `hook` are hoisted by the callers so batches
-    /// pay for them once. `cancel` (when present) is polled between
-    /// per-message fixpoints; a trip abandons the whole point with
-    /// `Err(Cancelled)` after invalidating the warm-start state.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_core(
-        &self,
-        point: &SolvePoint,
-        errors: &dyn ErrorModel,
-        desc: &str,
-        hook: bool,
-        config: &AnalysisConfig,
+        previous: Option<(&BusReport, &[Vec<usize>])>,
         cancel: Option<&CancelToken>,
         ws: &mut RtaWorkspace,
-    ) -> Result<BusReport, AnalysisError> {
+    ) -> Result<(BusReport, IncrementalStats), AnalysisError> {
         let acts = point.activations();
         let deadlines = point.deadlines();
         let n = acts.len();
@@ -664,9 +636,31 @@ impl CompiledBus {
             "config stuffing must match the compiled tables"
         );
         let _span = span!("rta.bus", msgs = n);
+        let desc = errors.describe();
+        let hook = test_mutations::drop_blocking();
+        // A permutation over a mixed standard/extended pool can change
+        // transmission times, which feed every message's interference
+        // sum; reuse is only sound when the whole vectors are unchanged.
+        let previous = previous.filter(|(report, hp)| {
+            report.messages.len() == n
+                && hp.len() == n
+                && report.stuffing == config.stuffing
+                && report.backend == self.backend
+                && report.error_model == desc
+                && report
+                    .messages
+                    .iter()
+                    .enumerate()
+                    .all(|(j, p)| p.c_max == self.c_max[j] && p.c_min == self.c_min[j])
+        });
+        // Incremental solves keep out of warm state (reused rows carry
+        // no converged windows), and so do fault-injected ones: the
+        // hook can be flipped back off between solves, which would
+        // break the demand-dominance premise.
+        let uses_warm_state = !hook && previous.is_none();
 
         ws.resize(n);
-        let warm_base = !hook
+        let warm_base = uses_warm_state
             && ws.epoch == self.epoch
             && ws.errors_desc == desc
             && ws.horizon == config.horizon
@@ -680,6 +674,7 @@ impl CompiledBus {
 
         let recording = metrics::enabled();
         let mut stats = SolveStats::default();
+        let mut incremental = IncrementalStats::default();
         let mut reports = Vec::with_capacity(n);
         for (i, &deadline) in deadlines.iter().enumerate() {
             if cancel.is_some_and(|token| token.is_cancelled()) {
@@ -690,51 +685,61 @@ impl CompiledBus {
                 ws.last = stats;
                 return Err(AnalysisError::Cancelled);
             }
-            let warm = warm_base && self.interference[i].iter().all(|&j| ws.dominates[j]);
             let blocking = if hook { Time::ZERO } else { self.blocking[i] };
-            let mut iterations = 0u64;
-            let mut w_next = std::mem::take(&mut ws.w_next);
-            let outcome = {
-                let warm_hints: &[Time] = if warm { &ws.w[i] } else { &[] };
-                busy_window(
-                    acts,
-                    i,
-                    &self.interference[i],
-                    &self.c_max,
-                    blocking,
-                    self.tau,
-                    errors,
-                    self.per_hit[i],
-                    config,
-                    warm_hints,
-                    &mut w_next,
-                    &mut iterations,
-                )
-            };
-            std::mem::swap(&mut ws.w[i], &mut w_next);
-            w_next.clear();
-            ws.w_next = w_next;
-            if warm {
-                stats.warm_messages += 1;
-                stats.iters_saved += ws.iters[i].saturating_sub(iterations);
-            } else {
-                stats.cold_messages += 1;
-            }
-            stats.iterations += iterations;
-            ws.iters[i] = iterations;
-
-            let (outcome_enum, instances) = match outcome {
-                Ok((wcrt, q)) => (
-                    ResponseOutcome::Bounded(ResponseBounds::new(
-                        self.c_min[i],
-                        wcrt.max(self.c_min[i]),
-                    )),
-                    q,
-                ),
-                Err(abort) => (
-                    ResponseOutcome::Overload(self.diagnose(i, abort, recording)),
-                    0,
-                ),
+            let reused = previous.and_then(|(report, hp)| {
+                let prev = &report.messages[i];
+                (prev.name == self.names[i] && prev.deadline == deadline && hp[i] == self.hp[i])
+                    .then_some(prev)
+            });
+            let (outcome, instances) = match reused {
+                Some(prev) => {
+                    incremental.reused += 1;
+                    (prev.outcome.clone(), prev.instances)
+                }
+                None => {
+                    incremental.recomputed += 1;
+                    let warm = warm_base && self.interference[i].iter().all(|&j| ws.dominates[j]);
+                    let mut iterations = 0u64;
+                    let mut w_next = std::mem::take(&mut ws.w_next);
+                    let outcome = busy_window(
+                        acts,
+                        i,
+                        &self.interference[i],
+                        &self.c_max,
+                        blocking,
+                        self.tau,
+                        errors,
+                        self.per_hit[i],
+                        config,
+                        if warm { &ws.w[i] } else { &[] },
+                        &mut w_next,
+                        &mut iterations,
+                    );
+                    std::mem::swap(&mut ws.w[i], &mut w_next);
+                    w_next.clear();
+                    ws.w_next = w_next;
+                    if warm {
+                        stats.warm_messages += 1;
+                        stats.iters_saved += ws.iters[i].saturating_sub(iterations);
+                    } else {
+                        stats.cold_messages += 1;
+                    }
+                    stats.iterations += iterations;
+                    ws.iters[i] = iterations;
+                    match outcome {
+                        Ok((wcrt, q)) => (
+                            ResponseOutcome::Bounded(ResponseBounds::new(
+                                self.c_min[i],
+                                wcrt.max(self.c_min[i]),
+                            )),
+                            q,
+                        ),
+                        Err(abort) => (
+                            ResponseOutcome::Overload(self.diagnose(i, abort, recording)),
+                            0,
+                        ),
+                    }
+                }
             };
             if recording {
                 crate::rta::rta_metrics().busy_instances.record(instances);
@@ -747,24 +752,21 @@ impl CompiledBus {
                 c_min: self.c_min[i],
                 blocking,
                 deadline,
-                outcome: outcome_enum,
+                outcome,
                 instances,
             });
         }
 
-        if hook {
-            // Fault-injected solves must not seed warm state: the hook
-            // can be flipped back off between solves, which would break
-            // the demand-dominance premise.
-            ws.invalidate();
-        } else {
+        if uses_warm_state {
             ws.epoch = self.epoch;
             ws.errors_desc.clear();
-            ws.errors_desc.push_str(desc);
+            ws.errors_desc.push_str(&desc);
             ws.horizon = config.horizon;
             ws.max_instances = config.max_instances;
             ws.activations.clear();
             ws.activations.extend_from_slice(acts);
+        } else {
+            ws.invalidate();
         }
         ws.last = stats;
 
@@ -773,134 +775,106 @@ impl CompiledBus {
             handles.runs.inc();
             handles.messages.add(n as u64);
             handles.iterations.add(stats.iterations);
+            if previous.is_some() {
+                handles.incremental_runs.inc();
+                handles.incremental_reused.add(incremental.reused as u64);
+                handles
+                    .incremental_recomputed
+                    .add(incremental.recomputed as u64);
+            }
             let compiled_handles = compiled_metrics();
             compiled_handles.warm_starts.add(stats.warm_messages);
             compiled_handles.iters_saved.add(stats.iters_saved);
         }
-        Ok(BusReport {
-            messages: reports,
-            error_model: desc.to_string(),
-            stuffing: config.stuffing,
-            backend: self.backend,
-        })
-    }
-
-    /// Priority-aware incremental solve: reuses `previous` verdicts for
-    /// messages whose higher-priority set is unchanged (the compiled
-    /// twin of [`crate::rta::analyze_bus_incremental`]; see there for
-    /// the comparability contract). Recomputed messages run cold —
-    /// exact reuse already covers the unchanged ones.
-    pub fn solve_incremental(
-        &self,
-        net: &CanNetwork,
-        errors: &dyn ErrorModel,
-        config: &AnalysisConfig,
-        previous: &BusReport,
-        previous_hp: &[Vec<usize>],
-    ) -> (BusReport, IncrementalStats) {
-        let msgs = net.messages();
-        let n = msgs.len();
-        let _span = span!("rta.bus.incremental", msgs = n);
-        let desc = errors.describe();
-        let comparable = previous.messages.len() == n
-            && previous_hp.len() == n
-            && previous.stuffing == config.stuffing
-            && previous.backend == self.backend
-            && previous.error_model == desc;
-        if !comparable {
-            let report = self.solve(net, errors, config, &mut RtaWorkspace::new());
-            let recomputed = report.messages.len();
-            return (
-                report,
-                IncrementalStats {
-                    reused: 0,
-                    recomputed,
-                },
-            );
-        }
-        // A permutation over a mixed standard/extended pool can change
-        // transmission times, which feed every message's interference
-        // sum; reuse is only sound when the whole vectors are unchanged.
-        let c_vectors_match = previous
-            .messages
-            .iter()
-            .enumerate()
-            .all(|(j, p)| p.c_max == self.c_max[j] && p.c_min == self.c_min[j]);
-        let hook = test_mutations::drop_blocking();
-        let activations: Vec<EventModel> = msgs.iter().map(|m| m.activation).collect();
-
-        let mut stats = IncrementalStats::default();
-        let mut iterations = 0u64;
-        let mut w_scratch = Vec::new();
-        let mut reports = Vec::with_capacity(n);
-        for (i, m) in msgs.iter().enumerate() {
-            let blocking = if hook { Time::ZERO } else { self.blocking[i] };
-            let deadline = m.resolved_deadline();
-            let prev = &previous.messages[i];
-            let (outcome, instances) = if c_vectors_match
-                && prev.name == self.names[i]
-                && prev.deadline == deadline
-                && self.hp[i] == previous_hp[i]
-            {
-                stats.reused += 1;
-                (prev.outcome.clone(), prev.instances)
-            } else {
-                stats.recomputed += 1;
-                match busy_window(
-                    &activations,
-                    i,
-                    &self.interference[i],
-                    &self.c_max,
-                    blocking,
-                    self.tau,
-                    errors,
-                    self.per_hit[i],
-                    config,
-                    &[],
-                    &mut w_scratch,
-                    &mut iterations,
-                ) {
-                    Ok((wcrt, q)) => (
-                        ResponseOutcome::Bounded(ResponseBounds::new(
-                            self.c_min[i],
-                            wcrt.max(self.c_min[i]),
-                        )),
-                        q,
-                    ),
-                    Err(abort) => (
-                        ResponseOutcome::Overload(self.diagnose(i, abort, metrics::enabled())),
-                        0,
-                    ),
-                }
-            };
-            reports.push(MessageReport {
-                index: i,
-                name: self.names[i].clone(),
-                id: self.ids[i],
-                c_max: self.c_max[i],
-                c_min: self.c_min[i],
-                blocking,
-                deadline,
-                outcome,
-                instances,
-            });
-        }
-        if metrics::enabled() {
-            let handles = crate::rta::rta_metrics();
-            handles.incremental_runs.inc();
-            handles.incremental_reused.add(stats.reused as u64);
-            handles.incremental_recomputed.add(stats.recomputed as u64);
-            handles.iterations.add(iterations);
-        }
-        (
+        Ok((
             BusReport {
                 messages: reports,
                 error_model: desc,
                 stuffing: config.stuffing,
                 backend: self.backend,
             },
-            stats,
-        )
+            incremental,
+        ))
+    }
+}
+
+/// The per-message row of the busy-window analysis for explicit
+/// higher-/lower-priority index sets: the interference set, the
+/// blocking term and the per-hit error cost. The row depends only on
+/// the *sets* (never on the order within them), which is exactly the
+/// property Audsley's optimal priority assignment requires — see
+/// [`crate::opa`].
+///
+/// Controller handling: for a fullCAN sender, lower-priority traffic
+/// contributes one frame of non-preemption blocking. For basicCAN and
+/// FIFO senders, the unrevokable local frame ahead of `i` can lose
+/// arbitration *repeatedly* against other nodes' frames of any
+/// priority, so **all** other-node messages are counted as full
+/// interference (sound, conservative; their one just-started frame is
+/// subsumed by `η⁺ ≥ 1`), while same-node frames ahead of `i` appear as
+/// controller blocking.
+#[derive(Debug)]
+pub(crate) struct MessageRow {
+    /// The messages whose `η⁺` feeds the demand of message `i`.
+    pub(crate) interference: Vec<usize>,
+    /// Total (bus + controller-local) blocking, without the
+    /// fault-injection hook (solvers apply it, so compiled tables stay
+    /// hook-agnostic).
+    pub(crate) blocking: Time,
+    /// Error overhead per hit while `i` waits: error frame plus the
+    /// longest retransmission among the interference set and `i`.
+    pub(crate) per_hit: Time,
+}
+
+impl MessageRow {
+    /// The row of message `i` of `net` with higher-priority set `hp`
+    /// and lower-priority set `lp`; `c_max` are the worst-case frame
+    /// times of all messages.
+    pub(crate) fn new(
+        net: &CanNetwork,
+        c_max: &[Time],
+        i: usize,
+        hp: &[usize],
+        lp: &[usize],
+    ) -> Self {
+        let msgs = net.messages();
+        let m = &msgs[i];
+        let controller = net.controller_of(m);
+        let same_node = |j: usize| msgs[j].sender == m.sender;
+        let mut interference = hp.to_vec();
+        if !matches!(controller, ControllerType::FullCan) {
+            interference.extend(lp.iter().copied().filter(|&j| !same_node(j)));
+        }
+        let blocking = match controller {
+            ControllerType::FullCan => lp.iter().map(|&j| c_max[j]).max().unwrap_or(Time::ZERO),
+            ControllerType::BasicCan => lp
+                .iter()
+                .filter(|&&j| same_node(j))
+                .map(|&j| c_max[j])
+                .max()
+                .unwrap_or(Time::ZERO),
+            // The queue holds up to `depth - 1` same-node frames ahead
+            // of `i`, of any priority.
+            ControllerType::FifoQueue { depth } => {
+                let mut same: Vec<Time> = (0..msgs.len())
+                    .filter(|&j| j != i && same_node(j))
+                    .map(|j| c_max[j])
+                    .collect();
+                same.sort_unstable_by(|a, b| b.cmp(a));
+                same.into_iter().take(depth.saturating_sub(1)).sum()
+            }
+        };
+        let retx = interference
+            .iter()
+            .map(|&j| c_max[j])
+            .fold(c_max[i], Time::max);
+        let error_frame =
+            Time::from_bits(net.backend().backend().error_frame_bits(), net.bit_rate());
+        MessageRow {
+            interference,
+            blocking,
+            per_hit: error_frame + retx,
+        }
     }
 }
 
@@ -1115,54 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_batch_is_bit_identical_to_per_point_solves() {
-        let base = net_with(vec![
-            msg("a", 0x100, 8, 5, 0, 0),
-            msg("b", 0x140, 4, 10, 0, 1),
-            msg("c", 0x180, 8, 10, 0, 0),
-            msg("d", 0x200, 2, 20, 0, 1),
-        ]);
-        let config = AnalysisConfig::default();
-        let errors = SporadicErrors::new(Time::from_ms(20));
-        let compiled = CompiledBus::compile(&base, config.stuffing).expect("valid");
-        // Ascending then descending jitter: the batch crosses both the
-        // warm-start and the dominance-rejection regimes.
-        let points: Vec<SolvePoint> = [0u64, 200, 500, 1200, 2500, 100]
-            .iter()
-            .map(|&us| SolvePoint::from_network(&with_jitter(&base, Time::from_us(us))))
-            .collect();
-
-        let mut ws = RtaWorkspace::new();
-        let (batch, stats) = compiled.solve_batch(&points, &errors, &config, &mut ws);
-        assert_eq!(batch.len(), points.len());
-        assert!(
-            stats.warm_messages > 0,
-            "ascending jitter prefix must warm-start: {stats:?}"
-        );
-        assert_eq!(
-            stats.warm_messages + stats.cold_messages,
-            (points.len() * base.messages().len()) as u64
-        );
-
-        // Per-point solves through one workspace see the same warm
-        // sequence; fresh-workspace solves pin the cold reference.
-        let mut seq_ws = RtaWorkspace::new();
-        for (k, (point, from_batch)) in points.iter().zip(&batch).enumerate() {
-            let seq = compiled.solve_point(point, &errors, &config, &mut seq_ws);
-            same_rows(from_batch, &seq);
-            let cold = compiled.solve_point(point, &errors, &config, &mut RtaWorkspace::new());
-            same_rows(from_batch, &cold);
-            let net_solve = compiled.solve(
-                &with_jitter(&base, Time::from_us([0u64, 200, 500, 1200, 2500, 100][k])),
-                &errors,
-                &config,
-                &mut RtaWorkspace::new(),
-            );
-            same_rows(from_batch, &net_solve);
-        }
-    }
-
-    #[test]
     fn error_model_change_rejects_warm_state() {
         let base = net_with(vec![
             msg("a", 0x100, 8, 5, 0, 0),
@@ -1260,6 +1186,134 @@ mod tests {
         same_rows(&first, &second);
         same_rows(
             &second,
+            &analyze_bus(&net, &NoErrors, &config).expect("valid"),
+        );
+    }
+
+    fn swapped(net: &CanNetwork, a: usize, b: usize) -> CanNetwork {
+        let mut out = net.clone();
+        let (id_a, id_b) = (out.messages()[a].id, out.messages()[b].id);
+        out.messages_mut()[a].id = id_b;
+        out.messages_mut()[b].id = id_a;
+        out
+    }
+
+    fn five_messages() -> CanNetwork {
+        net_with(vec![
+            msg("a", 0x100, 8, 5, 1, 0),
+            msg("b", 0x140, 4, 10, 0, 1),
+            msg("c", 0x180, 8, 10, 2, 0),
+            msg("d", 0x1C0, 2, 20, 0, 1),
+            msg("e", 0x200, 8, 20, 1, 0),
+        ])
+    }
+
+    #[test]
+    fn incremental_matches_full_analysis_on_id_swaps() {
+        let config = AnalysisConfig::default();
+        let errors = SporadicErrors::new(Time::from_ms(20));
+        let base = five_messages();
+        let compiled = CompiledBus::compile(&base, config.stuffing).expect("valid");
+        let previous = compiled.solve(&base, &errors, &config, &mut RtaWorkspace::new());
+
+        // Swap the two weakest identifiers: only d and e change sets.
+        let net = swapped(&base, 3, 4);
+        let (incremental, stats) = compiled.reordered(&net).solve_incremental(
+            &net,
+            &errors,
+            &config,
+            &previous,
+            compiled.hp_sets(),
+        );
+        assert_eq!(stats.reused, 3, "a, b, c keep their hp sets");
+        assert_eq!(stats.recomputed, 2);
+        same_rows(
+            &incremental,
+            &analyze_bus(&net, &errors, &config).expect("valid"),
+        );
+    }
+
+    #[test]
+    fn incremental_falls_back_when_not_comparable() {
+        let net = net_with(vec![msg("a", 0x100, 8, 10, 0, 0)]);
+        let config = AnalysisConfig::default();
+        let compiled = CompiledBus::compile(&net, config.stuffing).expect("valid");
+        let previous = compiled.solve(&net, &NoErrors, &config, &mut RtaWorkspace::new());
+        // Different error model: the previous report is not comparable,
+        // so everything is recomputed — against the new model.
+        let errors = SporadicErrors::new(Time::from_s(1));
+        let (report, stats) =
+            compiled.solve_incremental(&net, &errors, &config, &previous, compiled.hp_sets());
+        assert_eq!(stats.reused, 0);
+        assert_eq!(stats.recomputed, 1);
+        same_rows(
+            &report,
+            &analyze_bus(&net, &errors, &config).expect("valid"),
+        );
+    }
+
+    #[test]
+    fn hp_sets_follow_arbitration_order() {
+        let net = net_with(vec![
+            msg("weak", 0x200, 8, 10, 0, 0),
+            msg("strong", 0x100, 8, 10, 0, 1),
+        ]);
+        let compiled = CompiledBus::compile(&net, StuffingMode::WorstCase).expect("valid");
+        assert_eq!(compiled.hp_sets(), &[vec![1], vec![]]);
+    }
+
+    #[test]
+    fn cancelled_reuse_solve_invalidates_the_workspace() {
+        let config = AnalysisConfig::default();
+        let base = five_messages();
+        let compiled = CompiledBus::compile(&base, config.stuffing).expect("valid");
+        let point = SolvePoint::from_network(&base);
+        let mut ws = RtaWorkspace::new();
+        let previous = compiled.solve_point(&point, &NoErrors, &config, &mut ws);
+        let token = CancelToken::new();
+        token.cancel();
+        let result = compiled.solve_point_with(
+            &point,
+            &NoErrors,
+            &config,
+            Some((&previous, compiled.hp_sets())),
+            Some(&token),
+            &mut ws,
+        );
+        assert!(matches!(result, Err(AnalysisError::Cancelled)));
+        // Left valid, the workspace would warm-start every message of
+        // the identical point.
+        compiled.solve_point(&point, &NoErrors, &config, &mut ws);
+        assert_eq!(ws.last_stats().warm_messages, 0);
+    }
+
+    #[test]
+    fn reuse_solve_never_seeds_warm_state() {
+        let config = AnalysisConfig::default();
+        let base = five_messages();
+        let compiled = CompiledBus::compile(&base, config.stuffing).expect("valid");
+        let previous = compiled.solve(&base, &NoErrors, &config, &mut RtaWorkspace::new());
+        let net = swapped(&base, 3, 4);
+        let reordered = compiled.reordered(&net);
+        let point = SolvePoint::from_network(&net);
+        let mut ws = RtaWorkspace::new();
+        let (_, stats) = reordered
+            .solve_point_with(
+                &point,
+                &NoErrors,
+                &config,
+                Some((&previous, compiled.hp_sets())),
+                None,
+                &mut ws,
+            )
+            .expect("no cancel token");
+        assert!(stats.reused > 0, "{stats:?}");
+        // The reused rows left no converged windows behind, so the same
+        // tables and point must solve cold.
+        let full = reordered.solve_point(&point, &NoErrors, &config, &mut ws);
+        assert_eq!(ws.last_stats().warm_messages, 0);
+        same_rows(
+            &full,
             &analyze_bus(&net, &NoErrors, &config).expect("valid"),
         );
     }

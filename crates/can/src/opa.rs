@@ -15,12 +15,15 @@
 //! no multi-point trade-offs) — exactly the comparison the benches in
 //! `carta-bench` draw.
 
+use crate::compiled::{busy_window, MessageRow};
 use crate::error_model::ErrorModel;
 use crate::frame::bit_time;
 use crate::message::CanId;
 use crate::network::CanNetwork;
-use crate::rta::{c_max_vector, wcrt_for_sets, AnalysisConfig};
+use crate::rta::{c_max_vector, test_mutations, AnalysisConfig};
 use carta_core::analysis::AnalysisError;
+use carta_core::event_model::EventModel;
+use carta_core::time::Time;
 
 /// The result of a successful OPA run: `order[k]` is the index of the
 /// message that receives the `k`-th **strongest** identifier.
@@ -66,58 +69,68 @@ pub fn audsley_assignment(
     errors: &dyn ErrorModel,
     config: &AnalysisConfig,
 ) -> Result<Option<PriorityOrder>, AnalysisError> {
+    Ok(place(net, errors, config)?
+        .map(|placed| PriorityOrder(placed.iter().rev().map(|&(msg, _)| msg).collect())))
+}
+
+/// Audsley's loop: every message with the worst-case response time it
+/// was placed with, lowest priority level first; `None` if some level
+/// admits no candidate.
+fn place(
+    net: &CanNetwork,
+    errors: &dyn ErrorModel,
+    config: &AnalysisConfig,
+) -> Result<Option<Vec<(usize, Time)>>, AnalysisError> {
     net.validate()
         .map_err(|e| AnalysisError::InvalidModel(e.to_string()))?;
-    let n = net.messages().len();
+    let msgs = net.messages();
     let c_max = c_max_vector(net, config.stuffing);
     let tau = bit_time(net.bit_rate());
-    let deadlines: Vec<_> = net
-        .messages()
-        .iter()
-        .map(|m| m.resolved_deadline())
-        .collect();
+    let activations: Vec<EventModel> = msgs.iter().map(|m| m.activation).collect();
+    let hook = test_mutations::drop_blocking();
 
-    let mut unassigned: Vec<usize> = (0..n).collect();
+    let mut unassigned: Vec<usize> = (0..msgs.len()).collect();
     let mut assigned_low: Vec<usize> = Vec::new(); // filled lowest-first
-
+    let mut placed = Vec::with_capacity(msgs.len());
+    let mut windows = Vec::new();
     // OPA probes many candidate assignments; its fixpoint iterations are
     // not part of the `rta.iterations` budget reported for analyses.
     let mut probe_iterations = 0u64;
-    for _level in (0..n).rev() {
-        let mut chosen = None;
-        for (pos, &candidate) in unassigned.iter().enumerate() {
+    while !unassigned.is_empty() {
+        let chosen = unassigned.iter().enumerate().find_map(|(pos, &candidate)| {
             let hp: Vec<usize> = unassigned
                 .iter()
                 .copied()
                 .filter(|&j| j != candidate)
                 .collect();
-            let ok = wcrt_for_sets(
-                net,
-                &c_max,
+            let row = MessageRow::new(net, &c_max, candidate, &hp, &assigned_low);
+            let blocking = if hook { Time::ZERO } else { row.blocking };
+            busy_window(
+                &activations,
                 candidate,
-                &hp,
-                &assigned_low,
+                &row.interference,
+                &c_max,
+                blocking,
                 tau,
                 errors,
+                row.per_hit,
                 config,
+                &[],
+                &mut windows,
                 &mut probe_iterations,
             )
-            .is_ok_and(|(wcrt, _)| wcrt <= deadlines[candidate]);
-            if ok {
-                chosen = Some(pos);
-                break;
-            }
-        }
-        match chosen {
-            Some(pos) => {
-                let msg = unassigned.remove(pos);
-                assigned_low.push(msg);
-            }
-            None => return Ok(None),
-        }
+            .ok()
+            .filter(|&(wcrt, _)| wcrt <= msgs[candidate].resolved_deadline())
+            .map(|(wcrt, _)| (pos, wcrt))
+        });
+        let Some((pos, wcrt)) = chosen else {
+            return Ok(None);
+        };
+        let msg = unassigned.remove(pos);
+        assigned_low.push(msg);
+        placed.push((msg, wcrt));
     }
-    assigned_low.reverse(); // strongest first
-    Ok(Some(PriorityOrder(assigned_low)))
+    Ok(Some(placed))
 }
 
 #[cfg(test)]
@@ -129,7 +142,6 @@ mod tests {
     use crate::message::CanMessage;
     use crate::network::Node;
     use crate::rta::analyze_bus;
-    use carta_core::time::Time;
 
     fn inverted_net(rate: u64) -> CanNetwork {
         let mut net = CanNetwork::new(rate);
@@ -221,6 +233,42 @@ mod tests {
         after.sort_unstable();
         assert_eq!(before, after);
         assert_eq!(order.strongest_first().len(), 5);
+    }
+
+    #[test]
+    fn placement_wcrts_are_the_wcrts_of_the_applied_order() {
+        // One node per controller type, so every branch of the row
+        // builder feeds both paths.
+        let mut net = CanNetwork::new(250_000);
+        let nodes = [
+            net.add_node(Node::new("A", ControllerType::FullCan)),
+            net.add_node(Node::new("B", ControllerType::BasicCan)),
+            net.add_node(Node::new("C", ControllerType::FifoQueue { depth: 2 })),
+        ];
+        for (k, period) in [100u64, 50, 20, 10, 5, 40].into_iter().enumerate() {
+            net.add_message(CanMessage::new(
+                format!("m{k}"),
+                CanId::standard(0x100 + 16 * k as u32).expect("valid"),
+                Dlc::new(8 - k as u8),
+                Time::from_ms(period),
+                Time::from_ms(period / 5),
+                nodes[k % 3],
+            ));
+        }
+        let errors = SporadicErrors::new(Time::from_ms(10));
+        let config = AnalysisConfig::default();
+        let placed = place(&net, &errors, &config)
+            .expect("valid")
+            .expect("feasible order exists");
+        let order = audsley_assignment(&net, &errors, &config)
+            .expect("valid")
+            .expect("feasible order exists");
+        let report = analyze_bus(&order.apply(&net), &errors, &config).expect("valid");
+        assert_eq!(placed.len(), net.messages().len());
+        for (msg, wcrt) in placed {
+            let row = &report.messages[msg];
+            assert_eq!(row.outcome.wcrt(), Some(wcrt), "{}", row.name);
+        }
     }
 
     #[test]

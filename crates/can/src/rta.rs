@@ -20,7 +20,6 @@
 
 use crate::backend::BackendConfig;
 use crate::compiled::{CompiledBus, RtaWorkspace};
-use crate::controller::ControllerType;
 use crate::error_model::ErrorModel;
 use crate::frame::StuffingMode;
 use crate::message::CanId;
@@ -310,66 +309,15 @@ pub fn analyze_bus(
     Ok(compiled.solve(net, errors, config, &mut RtaWorkspace::new()))
 }
 
-/// The higher-priority index set of every message: `result[i]` holds
-/// the indices of all messages that out-arbitrate message `i`, in
-/// ascending index order.
-///
-/// [`wcrt_for_sets`] depends only on these *sets* (never on identifier
-/// values beyond them, except through transmission times), which is
-/// what makes [`analyze_bus_incremental`] sound.
-pub fn hp_index_sets(net: &CanNetwork) -> Vec<Vec<usize>> {
-    let msgs = net.messages();
-    (0..msgs.len())
-        .map(|i| {
-            let key = msgs[i].id.arbitration_key();
-            (0..msgs.len())
-                .filter(|&j| msgs[j].id.arbitration_key() < key)
-                .collect()
-        })
-        .collect()
-}
-
-/// Work accounting of one [`analyze_bus_incremental`] run.
+/// Per-message reuse accounting of one [`CompiledBus::solve_point_with`]
+/// run (a solve without a reusable previous report recomputes every
+/// message).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
     /// Messages whose verdict was carried over from the previous report.
     pub reused: usize,
     /// Messages whose busy-window iteration had to be re-run.
     pub recomputed: usize,
-}
-
-/// Priority-aware incremental re-analysis.
-///
-/// `net` must differ from the previously analyzed network **only in its
-/// identifier assignment** (same messages in the same order, same
-/// activations, deadline policies, senders and controllers — exactly
-/// what an identifier-permutation overlay produces). `previous` is that
-/// network's report and `previous_hp` its [`hp_index_sets`]. Messages
-/// whose higher-priority index set is unchanged keep their response
-/// verdict without re-running the busy-window iteration; only the
-/// affected messages are recomputed.
-///
-/// The function independently verifies everything it can observe
-/// (message count, names, transmission-time vectors, deadlines, error
-/// model and stuffing mode) and falls back to a full [`analyze_bus`]
-/// run when the reports are not comparable, so a contract violation
-/// degrades performance, not correctness — except for activation
-/// changes, which are invisible in a [`BusReport`] and remain the
-/// caller's responsibility.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::InvalidModel`] if the network fails
-/// [`CanNetwork::validate`].
-pub fn analyze_bus_incremental(
-    net: &CanNetwork,
-    errors: &dyn ErrorModel,
-    config: &AnalysisConfig,
-    previous: &BusReport,
-    previous_hp: &[Vec<usize>],
-) -> Result<(BusReport, IncrementalStats), AnalysisError> {
-    let compiled = CompiledBus::compile(net, config.stuffing)?;
-    Ok(compiled.solve_incremental(net, errors, config, previous, previous_hp))
 }
 
 /// Fault-injection hooks for verification tooling.
@@ -394,121 +342,6 @@ pub mod test_mutations {
     }
 }
 
-/// The total blocking charged to message `i`: for fullCAN senders, one
-/// lower-priority frame of bus blocking plus nothing local; for
-/// basicCAN/FIFO senders, the local queue-ahead frames (other-node
-/// lower-priority traffic is charged as interference instead — its one
-/// just-started frame is subsumed by `η⁺ ≥ 1`).
-pub(crate) fn effective_blocking(net: &CanNetwork, i: usize, c_max: &[Time], lp: &[usize]) -> Time {
-    if test_mutations::drop_blocking() {
-        return Time::ZERO;
-    }
-    blocking_for(net, i, c_max, lp)
-}
-
-/// [`effective_blocking`] without the fault-injection hook — the pure
-/// term [`crate::compiled::CompiledBus`] precompiles (the hook is
-/// re-checked at solve time so compiled tables stay hook-agnostic).
-pub(crate) fn blocking_for(net: &CanNetwork, i: usize, c_max: &[Time], lp: &[usize]) -> Time {
-    let m = &net.messages()[i];
-    let bus_blocking = match net.controller_of(m) {
-        ControllerType::FullCan => lp.iter().map(|&j| c_max[j]).max().unwrap_or(Time::ZERO),
-        ControllerType::BasicCan | ControllerType::FifoQueue { .. } => Time::ZERO,
-    };
-    bus_blocking + controller_blocking(net, i, c_max, lp)
-}
-
-/// Controller-specific local blocking of message `i` by its own node's
-/// other messages (see [`ControllerType`]), given the explicit set of
-/// lower-priority message indices.
-fn controller_blocking(net: &CanNetwork, i: usize, c_max: &[Time], lp: &[usize]) -> Time {
-    let msgs = net.messages();
-    let m = &msgs[i];
-    match net.controller_of(m) {
-        ControllerType::FullCan => Time::ZERO,
-        ControllerType::BasicCan => lp
-            .iter()
-            .filter(|&&j| msgs[j].sender == m.sender)
-            .map(|&j| c_max[j])
-            .max()
-            .unwrap_or(Time::ZERO),
-        ControllerType::FifoQueue { depth } => {
-            let mut same: Vec<Time> = msgs
-                .iter()
-                .enumerate()
-                .filter(|(j, other)| *j != i && other.sender == m.sender)
-                .map(|(j, _)| c_max[j])
-                .collect();
-            same.sort_unstable_by(|a, b| b.cmp(a));
-            same.into_iter().take(depth.saturating_sub(1)).sum()
-        }
-    }
-}
-
-/// Computes the response outcome of message `i` given explicit
-/// higher-/lower-priority index sets. The result depends only on the
-/// *sets* (never on the order within them), which is exactly the
-/// property Audsley's optimal priority assignment requires — see
-/// [`crate::opa`].
-///
-/// Controller handling: for a fullCAN sender, lower-priority traffic
-/// contributes one frame of non-preemption blocking. For basicCAN and
-/// FIFO senders, the unrevokable local frame ahead of `i` can lose
-/// arbitration *repeatedly* against other nodes' frames of any
-/// priority, so **all** other-node messages are counted as full
-/// interference (sound, conservative), while same-node frames ahead of
-/// `i` appear as controller blocking.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn wcrt_for_sets(
-    net: &CanNetwork,
-    c_max: &[Time],
-    i: usize,
-    hp: &[usize],
-    lp: &[usize],
-    tau: Time,
-    errors: &dyn ErrorModel,
-    config: &AnalysisConfig,
-    iterations: &mut u64,
-) -> Result<(Time, u64), crate::compiled::BusyAbort> {
-    let rate = net.bit_rate();
-    let msgs = net.messages();
-    let m = &msgs[i];
-    let interference: Vec<usize> = match net.controller_of(m) {
-        ControllerType::FullCan => hp.to_vec(),
-        ControllerType::BasicCan | ControllerType::FifoQueue { .. } => {
-            let mut set = hp.to_vec();
-            set.extend(lp.iter().copied().filter(|&j| msgs[j].sender != m.sender));
-            set
-        }
-    };
-    let blocking = effective_blocking(net, i, c_max, lp);
-    // Error overhead per hit: error frame + retransmission of the
-    // longest frame that may need resending while `i` waits.
-    let retx = interference
-        .iter()
-        .map(|&j| c_max[j])
-        .max()
-        .unwrap_or(c_max[i])
-        .max(c_max[i]);
-    let per_hit = Time::from_bits(net.backend().backend().error_frame_bits(), rate) + retx;
-    let activations: Vec<carta_core::event_model::EventModel> =
-        msgs.iter().map(|m| m.activation).collect();
-    crate::compiled::busy_window(
-        &activations,
-        i,
-        &interference,
-        c_max,
-        blocking,
-        tau,
-        errors,
-        per_hit,
-        config,
-        &[],
-        &mut Vec::new(),
-        iterations,
-    )
-}
-
 /// Worst-case transmission times of all messages under `stuffing`,
 /// derived from the network's bus backend.
 pub(crate) fn c_max_vector(net: &CanNetwork, stuffing: StuffingMode) -> Vec<Time> {
@@ -523,6 +356,7 @@ pub(crate) fn c_max_vector(net: &CanNetwork, stuffing: StuffingMode) -> Vec<Time
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::ControllerType;
     use crate::error_model::{BurstErrors, NoErrors, SporadicErrors};
     use crate::frame::Dlc;
     use crate::message::{CanMessage, DeadlinePolicy};
@@ -876,72 +710,6 @@ mod tests {
         let rep = analyze_bus(&net, &NoErrors, &AnalysisConfig::default()).expect("valid");
         let m = &rep.messages[0];
         assert_eq!(m.slack(), Some(Time::from_ms(10) - Time::from_us(270)));
-    }
-
-    #[test]
-    fn incremental_matches_full_analysis_on_id_swaps() {
-        let mk = || {
-            net_with(vec![
-                msg("a", 0x100, 8, 5, 1, 0),
-                msg("b", 0x140, 4, 10, 0, 1),
-                msg("c", 0x180, 8, 10, 2, 0),
-                msg("d", 0x1C0, 2, 20, 0, 1),
-                msg("e", 0x200, 8, 20, 1, 0),
-            ])
-        };
-        let cfg = AnalysisConfig::default();
-        let errors = SporadicErrors::new(Time::from_ms(20));
-        let base = mk();
-        let previous = analyze_bus(&base, &errors, &cfg).expect("valid");
-        let previous_hp = hp_index_sets(&base);
-
-        // Swap the two weakest identifiers: only d and e change sets.
-        let mut swapped = mk();
-        let (d_id, e_id) = (swapped.messages()[3].id, swapped.messages()[4].id);
-        swapped.messages_mut()[3].id = e_id;
-        swapped.messages_mut()[4].id = d_id;
-
-        let (incremental, stats) =
-            analyze_bus_incremental(&swapped, &errors, &cfg, &previous, &previous_hp)
-                .expect("valid");
-        let full = analyze_bus(&swapped, &errors, &cfg).expect("valid");
-        assert_eq!(stats.reused, 3, "a, b, c keep their hp sets");
-        assert_eq!(stats.recomputed, 2);
-        for (i, f) in incremental.messages.iter().zip(&full.messages) {
-            assert_eq!(i.outcome, f.outcome, "{}", f.name);
-            assert_eq!(i.id, f.id);
-            assert_eq!(i.blocking, f.blocking);
-            assert_eq!(i.instances, f.instances);
-            assert_eq!(i.deadline, f.deadline);
-        }
-    }
-
-    #[test]
-    fn incremental_falls_back_when_not_comparable() {
-        let net = net_with(vec![msg("a", 0x100, 8, 10, 0, 0)]);
-        let cfg = AnalysisConfig::default();
-        let previous = analyze_bus(&net, &NoErrors, &cfg).expect("valid");
-        let previous_hp = hp_index_sets(&net);
-        // Different error model: the previous report is not comparable,
-        // so everything is recomputed — against the new model.
-        let errors = SporadicErrors::new(Time::from_s(1));
-        let (report, stats) =
-            analyze_bus_incremental(&net, &errors, &cfg, &previous, &previous_hp).expect("valid");
-        assert_eq!(stats.reused, 0);
-        assert_eq!(stats.recomputed, 1);
-        assert_eq!(
-            report.messages[0].outcome,
-            analyze_bus(&net, &errors, &cfg).expect("valid").messages[0].outcome
-        );
-    }
-
-    #[test]
-    fn hp_sets_follow_arbitration_order() {
-        let net = net_with(vec![
-            msg("weak", 0x200, 8, 10, 0, 0),
-            msg("strong", 0x100, 8, 10, 0, 1),
-        ]);
-        assert_eq!(hp_index_sets(&net), vec![vec![1], vec![]]);
     }
 
     #[test]

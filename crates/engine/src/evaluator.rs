@@ -219,9 +219,9 @@ const SHARDS: usize = 16;
 
 /// Fixed batch chunk size: chunk `c` of a batch always runs on worker
 /// `c % jobs`, making work assignment a pure function of the batch —
-/// not of scheduling. 64 points amortize the chunked cache protocol's
-/// two lock passes while keeping tail imbalance under a millisecond of
-/// work.
+/// not of scheduling. 64 points give each chunk's cold first solve a
+/// long warm-started run behind it while keeping tail imbalance under a
+/// millisecond of work.
 const BATCH_CHUNK: usize = 64;
 
 /// One planned unit of batch work: a chunk of the input and the
@@ -241,13 +241,17 @@ struct Anchor {
 /// permutation overlays, which rewrite identifier tables in place), the
 /// compiled tables last used on this thread (an `Arc` into the
 /// evaluator's compiled-bus cache, re-fetched when stuffing changes),
-/// and the RTA workspace that carries busy-window warm-start data from
-/// one solve to the next.
+/// the RTA workspace that carries busy-window warm-start data from one
+/// unpermuted solve to the next, and a second workspace for permuted
+/// solves. Reordered tables never share an epoch, so the second one
+/// only recycles buffers, and permuted points never disturb the warm
+/// state of the first.
 struct Scratch {
     fp: u64,
     net: Option<CanNetwork>,
     compiled: Option<((u64, StuffingMode), Arc<CompiledBus>)>,
     ws: RtaWorkspace,
+    permuted_ws: RtaWorkspace,
     point: SolvePoint,
 }
 
@@ -287,6 +291,7 @@ impl ScratchPool {
                 net: None,
                 compiled: None,
                 ws: RtaWorkspace::new(),
+                permuted_ws: RtaWorkspace::new(),
                 point: SolvePoint::new(),
             });
         }
@@ -339,7 +344,6 @@ struct EngineMetrics {
     queue_depth: Arc<Histogram>,
     batch_chunks: Arc<Counter>,
     batch_worker_points: Arc<Histogram>,
-    batch_publish_flushes: Arc<Counter>,
     batch_shard_waits: Arc<Counter>,
     scratch_evictions: Arc<Counter>,
     rta_compiles: Arc<Counter>,
@@ -364,7 +368,6 @@ impl EngineMetrics {
             queue_depth: registry.histogram("engine.batch.queue_depth"),
             batch_chunks: registry.counter("engine.batch.chunks"),
             batch_worker_points: registry.histogram("engine.batch.worker_points"),
-            batch_publish_flushes: registry.counter("engine.batch.publish_flushes"),
             batch_shard_waits: registry.counter("engine.batch.shard_waits"),
             scratch_evictions: registry.counter("engine.scratch.evictions"),
             rta_compiles: registry.counter("engine.rta.compiles"),
@@ -603,7 +606,7 @@ impl Evaluator {
     /// A cancel-scoped handle whose token tripped returns (but never
     /// caches) [`AnalysisError::Cancelled`].
     pub fn evaluate(&self, variant: &SystemVariant) -> EvalResult {
-        self.shared.evaluate(variant, self.cancel.as_ref())
+        self.shared.evaluate(variant, self.cancel.as_ref(), false)
     }
 
     /// Evaluates one variant probabilistically: the deterministic
@@ -657,20 +660,21 @@ impl EvalShared {
         (h.finish() as usize) % SHARDS
     }
 
-    /// Locks shard `s`, counting contended acquisitions while metrics
-    /// are active (`batch` attributes the wait to the chunked batch
-    /// protocol rather than point-wise cache contention).
+    /// Locks the shard of `key`, counting contended acquisitions while
+    /// metrics are active (`batch` attributes the wait to
+    /// [`Evaluator::evaluate_batch`] rather than point-wise cache
+    /// contention).
     ///
     /// Poisoned locks are recovered, not propagated: shards only ever
     /// hold fully-constructed entries (no lock is held across an
     /// analysis), so a panic on another thread cannot leave a torn
     /// value behind.
-    fn lock_shard_at(
+    fn lock_shard(
         &self,
-        s: usize,
+        key: &VariantKey,
         batch: bool,
     ) -> MutexGuard<'_, HashMap<VariantKey, EvalResult>> {
-        let shard = &self.shards[s];
+        let shard = &self.shards[self.shard_index(key)];
         if !self.metrics.active() {
             return shard.lock().unwrap_or_else(PoisonError::into_inner);
         }
@@ -688,18 +692,21 @@ impl EvalShared {
         }
     }
 
-    fn lock_shard(&self, key: &VariantKey) -> MutexGuard<'_, HashMap<VariantKey, EvalResult>> {
-        self.lock_shard_at(self.shard_index(key), false)
-    }
-
     /// Cache-consulting evaluation core; `cancel` (when present) is
-    /// polled at entry and through the solve loop.
-    fn evaluate(&self, variant: &SystemVariant, cancel: Option<&CancelToken>) -> EvalResult {
+    /// polled at entry and through the solve loop, and `batch` marks
+    /// evaluations on behalf of [`Evaluator::evaluate_batch`] (see
+    /// [`EvalShared::lock_shard`]).
+    fn evaluate(
+        &self,
+        variant: &SystemVariant,
+        cancel: Option<&CancelToken>,
+        batch: bool,
+    ) -> EvalResult {
         if cancel.is_some_and(|token| token.is_cancelled()) {
             return Err(AnalysisError::Cancelled);
         }
         let key = variant.key();
-        if let Some(cached) = self.lock_shard(&key).get(&key) {
+        if let Some(cached) = self.lock_shard(&key, batch).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             if self.metrics.active() {
                 self.metrics.hits.inc();
@@ -713,7 +720,7 @@ impl EvalShared {
             // behave exactly like a fresh evaluation.
             return result;
         }
-        let mut shard = self.lock_shard(&key);
+        let mut shard = self.lock_shard(&key, batch);
         self.evict_if_full(&mut shard, &key);
         // Racing threads may both compute; the first insert wins so all
         // callers share one Arc.
@@ -797,12 +804,13 @@ impl EvalShared {
         variant: &SystemVariant,
         cancel: Option<&CancelToken>,
     ) -> ProbEvalResult {
-        let full = self.evaluate(variant, cancel)?;
+        let full = self.evaluate(variant, cancel, false)?;
         let base = self.evaluate(
             &variant
                 .clone()
                 .with_errors(crate::scenario::ErrorSpec::None),
             cancel,
+            false,
         )?;
         let stuffing = variant.scenario().stuffing;
         let compiled = match variant.permutation() {
@@ -861,7 +869,10 @@ impl EvalShared {
         cancel: Option<&CancelToken>,
     ) -> Vec<EvalResult> {
         if variants.len() <= 1 {
-            return variants.iter().map(|v| self.evaluate(v, cancel)).collect();
+            return variants
+                .iter()
+                .map(|v| self.evaluate(v, cancel, false))
+                .collect();
         }
         let chunk_count = variants.len().div_ceil(BATCH_CHUNK);
         let jobs = self.parallelism.jobs().min(chunk_count);
@@ -926,24 +937,10 @@ impl EvalShared {
             .collect()
     }
 
-    /// Evaluates one chunk with the contention-free cache protocol:
-    ///
-    /// 1. **Batched read pass** — the chunk's keys are bucketed by
-    ///    shard, then each touched shard is locked exactly once to pull
-    ///    every hit, instead of once per point.
-    /// 2. **Lock-free analysis** — every miss is analysed into a
-    ///    chunk-local buffer. Duplicate keys within the chunk are
-    ///    deduplicated here (the second occurrence counts as a hit and
-    ///    shares the first's result) without touching any lock.
-    /// 3. **Publish pass** — the buffered results are written back with
-    ///    one lock acquisition per touched shard. First insert wins, and
-    ///    every output row is rewritten with the canonical `Arc` from
-    ///    the cache so concurrent chunks that computed the same key
-    ///    still hand out one shared allocation.
-    ///
-    /// Warm-start state is invalidated on entry, making the chunk's
-    /// results and solve statistics independent of whatever ran on this
-    /// thread before — the keystone of cross-`jobs` bit-identity.
+    /// Evaluates one chunk point by point, in order. Warm-start state
+    /// is invalidated on entry, making the chunk's results and solve
+    /// statistics independent of whatever ran on this thread before —
+    /// the keystone of cross-`jobs` bit-identity.
     fn process_chunk(
         &self,
         variants: &[SystemVariant],
@@ -963,85 +960,8 @@ impl EvalShared {
         if self.metrics.active() {
             self.metrics.batch_chunks.inc();
         }
-        let keys: Vec<VariantKey> = variants.iter().map(SystemVariant::key).collect();
-        let shard_of: Vec<usize> = keys.iter().map(|k| self.shard_index(k)).collect();
-
-        // Read pass: one lock per touched shard.
-        let mut read_buckets: [Vec<usize>; SHARDS] = std::array::from_fn(|_| Vec::new());
-        for (i, &s) in shard_of.iter().enumerate() {
-            read_buckets[s].push(i);
-        }
-        let mut hits = 0u64;
-        for (s, bucket) in read_buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let shard = self.lock_shard_at(s, true);
-            for &i in bucket {
-                if let Some(cached) = shard.get(&keys[i]) {
-                    out[i] = Some(cached.clone());
-                    hits += 1;
-                }
-            }
-        }
-
-        // Analysis pass: no locks. Fresh results buffer locally; a key
-        // repeated within the chunk is analysed once and its later
-        // occurrences count as cache hits on the buffered entry.
-        let mut fresh: HashMap<VariantKey, (EvalResult, Vec<usize>)> = HashMap::new();
-        for i in 0..variants.len() {
-            if out[i].is_some() {
-                continue;
-            }
-            if let Some((result, users)) = fresh.get_mut(&keys[i]) {
-                out[i] = Some(result.clone());
-                users.push(i);
-                hits += 1;
-                continue;
-            }
-            let (result, cacheable) = self.analyze_miss(&variants[i], cancel);
-            if cacheable {
-                out[i] = Some(result.clone());
-                fresh.insert(keys[i].clone(), (result, vec![i]));
-            } else {
-                out[i] = Some(result);
-            }
-        }
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        if self.metrics.active() {
-            self.metrics.hits.add(hits);
-        }
-
-        // Publish pass: one lock per touched shard, canonical Arcs
-        // rewritten into every user row.
-        if fresh.is_empty() {
-            return;
-        }
-        let mut publish: [Vec<(VariantKey, EvalResult, Vec<usize>)>; SHARDS] =
-            std::array::from_fn(|_| Vec::new());
-        for (key, (result, users)) in fresh.drain() {
-            let s = self.shard_index(&key);
-            publish[s].push((key, result, users));
-        }
-        for (s, mut bucket) in publish.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            // HashMap drain order is nondeterministic; under a bounded
-            // cache the insert order decides which entries survive an
-            // eviction, so pin it to batch order.
-            bucket.sort_by_key(|(_, _, users)| users[0]);
-            let mut shard = self.lock_shard_at(s, true);
-            if self.metrics.active() {
-                self.metrics.batch_publish_flushes.inc();
-            }
-            for (key, result, users) in bucket {
-                self.evict_if_full(&mut shard, &key);
-                let canonical = shard.entry(key).or_insert(result).clone();
-                for i in users {
-                    out[i] = Some(canonical.clone());
-                }
-            }
+        for (row, variant) in out.iter_mut().zip(variants) {
+            *row = Some(self.evaluate(variant, cancel, true));
         }
     }
 
@@ -1141,7 +1061,7 @@ impl EvalShared {
     /// is cleared whole, like a shard — anchors only accelerate
     /// permutation overlays, so losing one costs a recompute, never
     /// correctness.
-    fn install_anchor(&self, key: VariantKey, anchor: impl FnOnce() -> Anchor) {
+    fn install_anchor(&self, key: VariantKey, report: &BusReport, hp_sets: &[Vec<usize>]) {
         let mut anchors = self.anchors.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(capacity) = self.anchor_capacity {
             if anchors.len() >= capacity && !anchors.contains_key(&key) {
@@ -1152,7 +1072,12 @@ impl EvalShared {
                 }
             }
         }
-        anchors.entry(key).or_insert_with(|| Arc::new(anchor()));
+        anchors.entry(key).or_insert_with(|| {
+            Arc::new(Anchor {
+                report: report.clone(),
+                hp_sets: hp_sets.to_vec(),
+            })
+        });
     }
 
     /// Runs the analysis for a cache miss on the compiled fast path:
@@ -1163,7 +1088,8 @@ impl EvalShared {
     /// overlays materialize the thread's scratch network, recompile
     /// only the order-dependent tables ([`CompiledBus::reordered`]) and
     /// re-use per-message verdicts from the bucket's anchor report
-    /// where the priority order is unchanged.
+    /// where the priority order is unchanged. Both kinds of point go
+    /// through one cancellable [`CompiledBus::solve_point_with`] call.
     fn analyze_uncached(
         &self,
         variant: &SystemVariant,
@@ -1202,88 +1128,65 @@ impl EvalShared {
                 }
             };
 
-            if variant.permutation().is_some() {
-                // Identifiers were redistributed: this is the one path
-                // that needs a materialized network (cloned once per
-                // (thread, base), then rewritten in place), because the
-                // order-dependent tables recompile against it (interned
-                // names and frame times carry over).
-                let net = scratch
-                    .net
-                    .get_or_insert_with(|| variant.base().network().clone());
-                variant.apply_onto(net);
-                let reordered = compiled.reordered(net);
-                self.compiles.fetch_add(1, Ordering::Relaxed);
-                if self.metrics.active() {
-                    self.metrics.rta_compiles.inc();
-                }
-                let anchor = self
-                    .anchors
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get(&variant.anchor_key())
-                    .cloned();
-                if let Some(anchor) = anchor {
-                    let (report, stats) = reordered.solve_incremental(
-                        net,
-                        errors.as_ref(),
-                        &config,
-                        &anchor.report,
-                        &anchor.hp_sets,
-                    );
-                    self.messages_reused
-                        .fetch_add(stats.reused as u64, Ordering::Relaxed);
-                    self.messages_recomputed
-                        .fetch_add(stats.recomputed as u64, Ordering::Relaxed);
-                    return Ok(Arc::new(report));
-                }
-                // Anchor miss: solve cold (warm-start state never
-                // transfers across a reordering) and install the anchor.
-                let report =
-                    reordered.solve(net, errors.as_ref(), &config, &mut RtaWorkspace::new());
-                self.cold_starts
-                    .fetch_add(report.messages.len() as u64, Ordering::Relaxed);
-                let hp_sets = reordered.hp_sets().to_vec();
-                let anchor_report = report.clone();
-                self.install_anchor(variant.anchor_key(), move || Anchor {
-                    report: anchor_report,
-                    hp_sets,
-                });
-                return Ok(Arc::new(report));
-            }
-
-            // Common path: no network materialization at all — the SoA
-            // solve point is filled straight from the base plus
-            // overlays, one (activation, deadline) row per message.
+            // The SoA solve point is filled straight from the base plus
+            // overlays, one (activation, deadline) row per message — no
+            // network materialization on the common path.
             let mut point = std::mem::take(&mut scratch.point);
             point.fill_with(variant.base().network().messages().len(), |i| {
                 variant.solve_row(i)
             });
-            let solved = match cancel {
-                Some(token) => compiled.solve_point_cancellable(
-                    &point,
-                    errors.as_ref(),
-                    &config,
-                    token,
-                    &mut scratch.ws,
-                ),
-                None => Ok(compiled.solve_point(&point, errors.as_ref(), &config, &mut scratch.ws)),
+            let reordered;
+            let (tables, anchor, ws) = match variant.permutation() {
+                None => (&*compiled, None, &mut scratch.ws),
+                Some(_) => {
+                    // Identifiers were redistributed: the order-dependent
+                    // tables recompile against the thread's scratch
+                    // network (cloned once per (thread, base), then
+                    // rewritten in place; interned names and frame times
+                    // carry over).
+                    let net = scratch
+                        .net
+                        .get_or_insert_with(|| variant.base().network().clone());
+                    variant.apply_onto(net);
+                    reordered = compiled.reordered(net);
+                    self.compiles.fetch_add(1, Ordering::Relaxed);
+                    if self.metrics.active() {
+                        self.metrics.rta_compiles.inc();
+                    }
+                    let anchor = self
+                        .anchors
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .get(&variant.anchor_key())
+                        .cloned();
+                    (&reordered, anchor, &mut scratch.permuted_ws)
+                }
             };
+            let solved = tables.solve_point_with(
+                &point,
+                errors.as_ref(),
+                &config,
+                anchor.as_deref().map(|a| (&a.report, a.hp_sets.as_slice())),
+                cancel,
+                ws,
+            );
             scratch.point = point;
             // A trip mid-solve abandons the point whole: the workspace
             // was invalidated by the solver, no stats are recorded, no
             // anchor is installed, and the caller never caches the
             // error.
-            let report = solved?;
-            self.record_solve(&scratch.ws);
-            // First full analysis in this bucket: it becomes the anchor
-            // future permutation overlays diff against.
-            let hp_sets = compiled.hp_sets().to_vec();
-            let anchor_report = report.clone();
-            self.install_anchor(variant.anchor_key(), move || Anchor {
-                report: anchor_report,
-                hp_sets,
-            });
+            let (report, incremental) = solved?;
+            if anchor.is_some() {
+                self.messages_reused
+                    .fetch_add(incremental.reused as u64, Ordering::Relaxed);
+                self.messages_recomputed
+                    .fetch_add(incremental.recomputed as u64, Ordering::Relaxed);
+            } else {
+                self.record_solve(ws);
+                // First full analysis in this bucket: it becomes the
+                // anchor future permutation overlays diff against.
+                self.install_anchor(variant.anchor_key(), &report, tables.hp_sets());
+            }
             Ok(Arc::new(report))
         })
     }
@@ -1785,7 +1688,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_protocol_dedups_repeats_and_shares_arcs() {
+    fn batch_repeats_hit_the_cache_and_share_arcs() {
         let base = BaseSystem::new(net(6));
         // 8 distinct keys, each repeated 16 times within one batch.
         let variants: Vec<SystemVariant> = (0..128)
@@ -1798,10 +1701,7 @@ mod tests {
         let out = eval.evaluate_batch(&variants);
         let stats = eval.stats();
         assert_eq!(stats.misses, 8, "the first chunk analyses each key once");
-        assert_eq!(
-            stats.hits, 120,
-            "repeats are hits — chunk-local dedup or the read pass"
-        );
+        assert_eq!(stats.hits, 120, "every repeat is a cache hit");
         for (i, r) in out.iter().enumerate() {
             let r = r.as_ref().expect("valid");
             let canonical = out[i % 8].as_ref().expect("valid");
@@ -1858,35 +1758,47 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         let base = BaseSystem::new(net(6));
         let eval = Evaluator::builder().jobs(2).metrics(&registry).build();
-        let variants: Vec<SystemVariant> = (0..10)
+        let scenario = Scenario::worst_case();
+        let mut variants: Vec<SystemVariant> = (0..10)
             .map(|k| {
-                SystemVariant::new(base.clone(), Scenario::worst_case())
+                SystemVariant::new(base.clone(), scenario.clone())
                     .with_jitter_ratio((k % 5) as f64 * 0.1)
             })
             .collect();
+        // Permuted points: one diffs against the anchor of its unpermuted
+        // twin above, the other finds no anchor and solves cold.
+        let perm = Arc::new(vec![0usize, 1, 2, 3, 5, 4]);
+        for ratio in [0.1, 0.9] {
+            variants.push(
+                SystemVariant::new(base.clone(), scenario.clone())
+                    .with_jitter_ratio(ratio)
+                    .with_permutation(perm.clone()),
+            );
+        }
         eval.evaluate_batch(&variants);
         eval.evaluate_batch(&variants); // warm pass: all hits
         let stats = eval.stats();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("engine.cache.hits"), Some(stats.hits));
         assert_eq!(snap.counter("engine.cache.misses"), Some(stats.misses));
+        assert_eq!(snap.counter("engine.rta.compiles"), Some(stats.compiles));
+        assert_eq!(
+            snap.counter("engine.rta.warm_starts"),
+            Some(stats.warm_starts)
+        );
+        assert_eq!(
+            snap.counter("engine.rta.cold_starts"),
+            Some(stats.cold_starts)
+        );
+        assert!(stats.messages_reused > 0, "{stats:?}");
         assert_eq!(snap.counter("engine.batch.runs"), Some(2));
-        assert_eq!(snap.counter("engine.batch.points"), Some(20));
-        // Ten points fit one chunk; two batches, one chunk each.
+        assert_eq!(snap.counter("engine.batch.points"), Some(24));
+        // Twelve points fit one chunk; two batches, one chunk each.
         assert_eq!(snap.counter("engine.batch.chunks"), Some(2));
         let worker_points = snap
             .histogram("engine.batch.worker_points")
             .expect("present");
-        assert_eq!((worker_points.count, worker_points.sum), (2, 20));
-        // Only the first batch has fresh results to publish; the warm
-        // batch is answered entirely by the read pass.
-        let flushes = snap
-            .counter("engine.batch.publish_flushes")
-            .expect("present");
-        assert!(
-            (1..=5).contains(&flushes),
-            "5 keys over 16 shards: {flushes}"
-        );
+        assert_eq!((worker_points.count, worker_points.sum), (2, 24));
         let wall = snap.histogram("engine.eval.wall_ns").expect("present");
         assert_eq!(wall.count, stats.misses);
         assert!(wall.sum > 0);

@@ -19,9 +19,11 @@
 //!   across GA generations and overlapping sweep grids hit the cache.
 //! * **Parallel batches** — [`Evaluator::evaluate_batch`] fans a slice
 //!   of variants out over [`Parallelism::jobs`] worker threads
-//!   (`CARTA_JOBS` env var / `--jobs` CLI flag), with incremental
-//!   priority-aware re-analysis (see `carta_can::rta::
-//!   analyze_bus_incremental`) for permutation overlays.
+//!   (`CARTA_JOBS` env var / `--jobs` CLI flag) in fixed 64-point
+//!   chunks, each evaluated point by point. Permutation overlays are
+//!   re-analysed incrementally against their unpermuted anchor: only
+//!   messages whose higher-priority set changed are recomputed (see
+//!   `carta_can::compiled::CompiledBus::solve_point_with`).
 //!
 //! ```
 //! use carta_engine::prelude::*;

@@ -14,7 +14,7 @@ use carta_can::error_model::ErrorModel;
 use carta_can::frame::{Dlc, StuffingMode};
 use carta_can::message::CanId;
 use carta_can::network::CanNetwork;
-use carta_can::rta::{analyze_bus, analyze_bus_incremental, hp_index_sets, AnalysisConfig};
+use carta_can::rta::{analyze_bus, AnalysisConfig};
 use carta_can::rta::{BusReport, MessageReport};
 use carta_core::time::Time;
 use carta_engine::prelude::{
@@ -281,9 +281,9 @@ impl Law for IncrementalEqualsFull {
     fn check(&self, net: &CanNetwork, case: &LawCase, _eval: &Evaluator) -> Result<(), Violation> {
         let model = case.errors.model();
         let config = AnalysisConfig::default();
-        let previous =
-            analyze_bus(net, model.as_ref(), &config).expect("generated networks are analyzable");
-        let hp = hp_index_sets(net);
+        let compiled =
+            CompiledBus::compile(net, config.stuffing).expect("generated networks are analyzable");
+        let previous = compiled.solve(net, model.as_ref(), &config, &mut RtaWorkspace::new());
         let mut rng = StdRng::seed_from_u64(case.seed ^ 0x1d);
         let mut ids: Vec<CanId> = net.messages().iter().map(|m| m.id).collect();
         for i in (1..ids.len()).rev() {
@@ -293,9 +293,15 @@ impl Law for IncrementalEqualsFull {
         for (m, id) in permuted.messages_mut().iter_mut().zip(ids) {
             m.id = id;
         }
-        let (incremental, _) =
-            analyze_bus_incremental(&permuted, model.as_ref(), &config, &previous, &hp)
-                .expect("generated networks are analyzable");
+        let (incremental, _) = CompiledBus::compile(&permuted, config.stuffing)
+            .expect("generated networks are analyzable")
+            .solve_incremental(
+                &permuted,
+                model.as_ref(),
+                &config,
+                &previous,
+                compiled.hp_sets(),
+            );
         let full = analyze_bus(&permuted, model.as_ref(), &config)
             .expect("generated networks are analyzable");
         for (a, b) in incremental.messages.iter().zip(full.messages.iter()) {
