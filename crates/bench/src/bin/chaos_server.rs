@@ -24,6 +24,7 @@
 
 use carta_api::prelude::{Handler, Model, Request, Response, ScenarioSpec};
 use carta_api::wire;
+use carta_engine::prelude::Parallelism;
 use carta_obs::json::{self, ObjectBuilder};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -171,6 +172,16 @@ struct AckedSession {
 }
 
 fn main() {
+    let bin = server_bin();
+    if !bin.is_file() {
+        // The root `cargo build --release` does not build the server.
+        eprintln!(
+            "chaos_server: no carta-server binary at {}; build it first with \
+             `cargo build --release -p carta-server` (or set CARTA_SERVER_BIN)",
+            bin.display()
+        );
+        std::process::exit(2);
+    }
     let cycles = env_u64("CHAOS_CYCLES", 3);
     let clients = env_u64("CHAOS_CLIENTS", 3);
     let uploads_per_cycle = env_u64("CHAOS_UPLOADS_PER_CYCLE", 2);
@@ -379,6 +390,12 @@ fn main() {
         .string(
             "command",
             "cargo run --release -p carta-bench --bin chaos_server",
+        )
+        .raw(
+            "machine",
+            &ObjectBuilder::new()
+                .uint("cpus", Parallelism::available() as u64)
+                .build(),
         )
         .raw(
             "soak",

@@ -184,16 +184,26 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a bound one request body of
+/// `[[[[…` overflows the thread's stack and aborts the process; with
+/// it, over-deep input is an ordinary [`JsonError`]. Every document
+/// carta writes nests far less deeply.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing
 /// else).
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] on malformed input.
+/// Returns [`JsonError`] on malformed input, including arrays and
+/// objects nested more than [`MAX_DEPTH`] levels deep.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -205,8 +215,11 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -247,8 +260,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -347,11 +371,11 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 —
-                    // it came in as &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let Some(c) = s.chars().next() else {
+                    // Consume one UTF-8 scalar. `pos` sits on a char
+                    // boundary here, so slicing the `&str` is O(1);
+                    // validating the rest of the input per character
+                    // would make long strings quadratic.
+                    let Some(c) = self.input.get(self.pos..).and_then(|s| s.chars().next()) else {
                         return Err(self.err("invalid UTF-8"));
                     };
                     out.push(c);
@@ -437,5 +461,47 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    fn nested(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_exactly_at_the_limit_is_accepted() {
+        let mut v = parse(&nested(MAX_DEPTH)).expect("at the limit");
+        let mut depth = 0;
+        while let Value::Arr(mut items) = v {
+            depth += 1;
+            v = items.pop().unwrap_or(Value::Null);
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        // Objects count toward the same limit as arrays.
+        let doc = format!(
+            "{}1{}",
+            "{\"a\":[".repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error_not_a_stack_overflow() {
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        // The attack shape: ~200 KB of `[` overflowed a worker's stack
+        // before the limit existed.
+        let err = parse(&"[".repeat(200_000)).expect_err("far too deep");
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        let doc = format!("{}{}", "{\"a\":".repeat(MAX_DEPTH + 1), "1");
+        assert!(parse(&doc).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let doc = format!("\"{}\"", "é".repeat(500_000));
+        let v = parse(&doc).expect("valid");
+        assert_eq!(v.as_str().map(|s| s.chars().count()), Some(500_000));
     }
 }

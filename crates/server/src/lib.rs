@@ -48,6 +48,6 @@ pub mod state;
 pub mod tenant;
 
 pub use config::ServerConfig;
-pub use server::{request_shutdown, Server, ServerHandle};
+pub use server::{request_shutdown, wake, Server, ServerHandle};
 pub use state::{SessionRecord, StateLog};
 pub use tenant::{Admission, TenantPool};

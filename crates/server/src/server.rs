@@ -20,15 +20,18 @@
 //! panics; the route layer adds a second `catch_unwind` so the
 //! process survives anything else too).
 //!
-//! Lifecycle: `stop()` (or SIGTERM via [`request_shutdown`]) starts a
-//! drain — the listener stops accepting, requests that arrive on
-//! already-open connections get `503 server.unavailable`, in-flight
-//! requests get up to `drain_ms` to finish, stragglers are cancelled
-//! cooperatively through the shared [`CancelToken`], and the process
-//! exits 0. A client-supplied `deadline_ms` rides the same token as a
-//! child deadline, so "this request ran out of time" (`504
-//! request.deadline_exceeded`) and "the server is going away" (`503
-//! server.unavailable`) stay distinct on the wire.
+//! Lifecycle: `stop()` (or SIGTERM via [`request_shutdown`] plus
+//! [`wake`]) starts a drain. The accept loop blocks in `accept`, so
+//! every shutdown request is followed by one throwaway connection that
+//! wakes it to see the flag. Then the listener stops accepting,
+//! requests that arrive on already-open connections get
+//! `503 server.unavailable`, in-flight requests get up to `drain_ms`
+//! to finish, stragglers are cancelled cooperatively through the
+//! shared [`CancelToken`], and the process exits 0. A client-supplied
+//! `deadline_ms` rides the same token as a child deadline, so "this
+//! request ran out of time" (`504 request.deadline_exceeded`) and "the
+//! server is going away" (`503 server.unavailable`) stay distinct on
+//! the wire.
 
 use crate::config::ServerConfig;
 use crate::http::{self, HttpError, HttpRequest};
@@ -43,28 +46,43 @@ use carta_obs::json::ObjectBuilder;
 use carta_obs::metrics::{self, MetricsSnapshot};
 use carta_obs::report::{metrics_json, Derived};
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How often the accept loop wakes to poll the shutdown flag; also
-/// the granularity of the drain wait.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
 /// Process-global shutdown request, set from the SIGTERM/SIGINT
 /// handler in the binary. A signal handler may only do
-/// async-signal-safe work; a single atomic store qualifies, so this is
-/// the entire cross-thread surface of the signal path.
+/// async-signal-safe work; a single atomic store qualifies.
 static GLOBAL_SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// Requests a graceful drain of every server in this process. Safe to
-/// call from a signal handler.
+/// call from a signal handler. A server blocked in `accept` sees the
+/// request on its next connection, so follow up with [`wake`] from
+/// ordinary (non-signal) code.
 pub fn request_shutdown() {
     GLOBAL_SHUTDOWN.store(true, Ordering::SeqCst);
+}
+
+/// Wakes the accept loop of the server listening on `addr` with one
+/// throwaway connection, so that it re-checks its shutdown flag. An
+/// unspecified bind address (`0.0.0.0`, `::`) is reached over
+/// loopback. Harmless when no shutdown is pending: the connection
+/// sends nothing and a worker closes it.
+pub fn wake(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    // A failed connect means the listener is already gone: nothing
+    // left to wake.
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }
 
 /// One response, ready to be written: status, JSON body, and any
@@ -97,7 +115,9 @@ struct Shared {
     /// Set once the drain begins: stop serving *new* requests.
     draining: AtomicBool,
     /// Requests currently between dispatch entry and response write.
-    inflight: AtomicU64,
+    inflight: Mutex<u64>,
+    /// Notified when `inflight` falls to 0; the drain waits on it.
+    idle: Condvar,
     /// Root of every per-request cancellation token; `cancel()`ed when
     /// the drain budget runs out.
     drain: CancelToken,
@@ -112,6 +132,34 @@ impl Shared {
 
     fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || GLOBAL_SHUTDOWN.load(Ordering::SeqCst)
+    }
+
+    /// The in-flight count. Only `+= 1`/`-= 1` run under this lock, so
+    /// a poisoned lock still holds a consistent count.
+    fn inflight(&self) -> MutexGuard<'_, u64> {
+        self.inflight.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn request_started(&self) {
+        *self.inflight() += 1;
+    }
+
+    fn request_finished(&self) {
+        let mut inflight = self.inflight();
+        *inflight -= 1;
+        if *inflight == 0 {
+            self.idle.notify_all();
+        }
+    }
+
+    /// Blocks until no request is in flight or `budget` runs out, and
+    /// returns how many are still in flight.
+    fn wait_idle(&self, budget: Duration) -> u64 {
+        let (inflight, _) = self
+            .idle
+            .wait_timeout_while(self.inflight(), budget, |n| *n > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        *inflight
     }
 }
 
@@ -160,7 +208,8 @@ impl Server {
             baseline: metrics::global().snapshot(),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            inflight: AtomicU64::new(0),
+            inflight: Mutex::new(0),
+            idle: Condvar::new(),
             drain: CancelToken::new(),
             state,
         });
@@ -199,20 +248,16 @@ impl Server {
                     .unwrap_or_else(|e| panic!("cannot spawn worker thread: {e}"))
             })
             .collect();
-        // Nonblocking accept + poll keeps the loop responsive to the
-        // shutdown flag without the old throwaway self-connection.
-        self.listener.set_nonblocking(true)?;
+        // Blocking accept: every shutdown request is followed by a
+        // `wake` connection, so the flag is checked after each accept
+        // and the stream that brought the news is simply dropped.
         while !self.shared.shutdown_requested() {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    // Accepted sockets must be blocking regardless of
-                    // what they inherit from the listener.
-                    let _ = stream.set_nonblocking(false);
-                    if tx.send(stream).is_err() {
+                    if self.shared.shutdown_requested() || tx.send(stream).is_err() {
                         break;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
                 // Transient accept errors (e.g. a peer resetting
                 // mid-handshake) must not take the service down.
                 Err(e)
@@ -228,11 +273,9 @@ impl Server {
         // Drain: no new requests, bounded wait for in-flight ones,
         // then cooperative cancellation of the stragglers.
         self.shared.draining.store(true, Ordering::SeqCst);
-        let deadline = Instant::now() + Duration::from_millis(self.shared.config.drain_ms);
-        while self.shared.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            thread::sleep(POLL_INTERVAL);
-        }
-        let stragglers = self.shared.inflight.load(Ordering::SeqCst);
+        let stragglers = self
+            .shared
+            .wait_idle(Duration::from_millis(self.shared.config.drain_ms));
         if stragglers > 0 {
             metrics::global()
                 .counter("server.drain.cancelled")
@@ -281,10 +324,11 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Signals shutdown and joins the accept loop, which performs the
-    /// full graceful drain before returning.
+    /// Signals shutdown, wakes the accept loop and joins it; the loop
+    /// performs the full graceful drain before returning.
     pub fn stop(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        wake(self.addr);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -384,14 +428,14 @@ fn unavailable_reply() -> Reply {
 /// the worker (and process) live on. The in-flight gauge brackets
 /// exactly this scope — it is what the drain waits on.
 fn dispatch(shared: &Shared, req: &HttpRequest) -> Reply {
-    shared.inflight.fetch_add(1, Ordering::SeqCst);
+    shared.request_started();
     let reply = catch_unwind(AssertUnwindSafe(|| route(shared, req))).unwrap_or_else(|_| {
         metrics::global().counter("server.requests.panicked").inc();
         error_reply(&ApiError::internal(
             "request handling panicked; the server is still up",
         ))
     });
-    shared.inflight.fetch_sub(1, Ordering::SeqCst);
+    shared.request_finished();
     reply
 }
 
@@ -707,7 +751,8 @@ mod tests {
             },
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            inflight: AtomicU64::new(0),
+            inflight: Mutex::new(0),
+            idle: Condvar::new(),
             drain: CancelToken::new(),
             state: None,
         }
@@ -909,6 +954,31 @@ mod tests {
         });
         let reply = route(&shared, &post("/v1/requests", &body));
         assert_eq!(reply.status, 200, "{}", reply.body);
+    }
+
+    #[test]
+    fn drain_wait_ends_when_the_last_request_finishes() {
+        let shared = Arc::new(shared());
+        assert_eq!(
+            shared.wait_idle(Duration::from_secs(60)),
+            0,
+            "idle: no wait"
+        );
+        shared.request_started();
+        let finisher = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || shared.request_finished())
+        };
+        let started = Instant::now();
+        assert_eq!(shared.wait_idle(Duration::from_secs(60)), 0);
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "woken by the finishing request, not by the budget"
+        );
+        finisher.join().expect("finisher");
+        // With nothing finishing, the budget bounds the wait.
+        shared.request_started();
+        assert_eq!(shared.wait_idle(Duration::from_millis(20)), 1);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! the log tail the way an interrupted append would, restart on the
 //! same state dir, and require that every *acked* session resolves
 //! with a bit-identical analysis while the torn tail is truncated.
+//! Also: SIGTERM against an idle binary drains and exits 0 promptly.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The server under test, killed hard on drop so a failing assert
 /// never leaks a process.
@@ -18,10 +19,14 @@ struct ServerProc {
 
 impl ServerProc {
     fn launch(state_dir: &std::path::Path) -> ServerProc {
+        ServerProc::launch_with(&[("CARTA_SERVER_STATE_DIR", state_dir.as_os_str())])
+    }
+
+    fn launch_with(env: &[(&str, &std::ffi::OsStr)]) -> ServerProc {
         let mut child = Command::new(env!("CARGO_BIN_EXE_carta-server"))
             .env("CARTA_SERVER_ADDR", "127.0.0.1:0")
-            .env("CARTA_SERVER_STATE_DIR", state_dir)
             .env("CARTA_SERVER_WORKERS", "2")
+            .envs(env.iter().copied())
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
@@ -186,4 +191,36 @@ fn acked_sessions_survive_sigkill_and_torn_tails_are_truncated() {
 
     drop(server);
     let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_on_an_idle_server_drains_and_exits_zero_promptly() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+    const DRAIN_MS: u64 = 10_000;
+    let drain_ms = DRAIN_MS.to_string();
+    let mut server = ServerProc::launch_with(&[("CARTA_SERVER_DRAIN_MS", drain_ms.as_ref())]);
+    let (status, body) = server.request("GET", "/v1/healthz", None, "");
+    assert_eq!(status, 200, "{body}");
+    // Let the accept loop go back to blocking in `accept` with nothing
+    // in flight: only the signal path can wake it now.
+    std::thread::sleep(Duration::from_millis(300));
+    let pid = i32::try_from(server.child.id()).expect("pid fits");
+    let sent = Instant::now();
+    // SAFETY: plain kill(2) on a child this test owns.
+    assert_eq!(unsafe { kill(pid, SIGTERM) }, 0, "SIGTERM delivered");
+    let exit = loop {
+        if let Some(exit) = server.child.try_wait().expect("waitable child") {
+            break exit;
+        }
+        assert!(
+            sent.elapsed() < Duration::from_millis(DRAIN_MS / 5),
+            "an idle server must exit well inside its {DRAIN_MS} ms drain budget"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(exit.success(), "graceful drain exits 0, got {exit}");
 }

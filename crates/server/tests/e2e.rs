@@ -542,7 +542,8 @@ fn graceful_drain_rejects_new_requests_with_503_and_stops_cleanly() {
     assert_eq!(status, 200);
 
     let stopper = std::thread::spawn(move || server.stop());
-    // Give the accept loop a few poll intervals to flip to draining.
+    // Give `stop()` time to wake the blocked accept loop and flip the
+    // server to draining before the next request arrives.
     std::thread::sleep(std::time::Duration::from_millis(200));
     write!(writer, "GET /v1/healthz HTTP/1.1\r\nhost: carta\r\n\r\n").expect("writes");
     let (status, head, body) = read_response(&mut reader);
@@ -550,6 +551,34 @@ fn graceful_drain_rejects_new_requests_with_503_and_stops_cleanly() {
     assert!(body.contains("server.unavailable"), "{body}");
     assert!(head.contains("connection: close"), "{head}");
     stopper.join().expect("drain completes");
+}
+
+#[test]
+fn stop_wakes_a_server_bound_to_the_unspecified_address() {
+    let server = start_with(ServerConfig {
+        addr: "0.0.0.0:0".into(),
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    assert!(server.addr().ip().is_unspecified());
+    // The wake must reach the listener over loopback: a connect to
+    // `0.0.0.0` itself is not portable.
+    let (status, _) = http(
+        SocketAddr::from(([127, 0, 0, 1], server.addr().port())),
+        "GET",
+        "/v1/healthz",
+        None,
+        "",
+    );
+    assert_eq!(status, 200);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("stop() returns promptly for a 0.0.0.0 listener");
 }
 
 #[test]

@@ -128,6 +128,31 @@ fn idle_connections_are_reaped_silently() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_400_and_the_server_survives() {
+    let server = start();
+    let addr = server.addr();
+    // ~200 KB of `[`: before the parser had a nesting limit this body
+    // overflowed a worker's stack and aborted the whole process.
+    let body = "[".repeat(200_000);
+    let mut payload = format!(
+        "POST /v1/requests HTTP/1.1\r\nhost: x\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    payload.extend_from_slice(body.as_bytes());
+    let raw = raw_exchange(addr, &payload);
+    assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+    assert!(raw.contains("request.invalid"), "{raw}");
+    assert!(raw.contains("nesting deeper than"), "{raw}");
+    let raw = raw_exchange(
+        addr,
+        b"GET /v1/healthz HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n",
+    );
+    assert!(raw.starts_with("HTTP/1.1 200 "), "still serving: {raw}");
+    server.stop();
+}
+
+#[test]
 fn pipelining_stops_at_the_first_malformed_request() {
     let server = start();
     let stream = TcpStream::connect(server.addr()).expect("connects");
