@@ -12,7 +12,10 @@
 //! alone (tables compiled once, every fixpoint cold), and
 //! `rta_warm_64pts` adds workspace warm-starting across the sweep. Both
 //! are gated by a bit-identity assertion against the naive
-//! `analyze_bus` path.
+//! `analyze_bus` path. `reorder_64msgs` prices one
+//! `CompiledBus::reordered` — the table rebuild every permuted point
+//! (a SPEA2 genome, a sweep rotation) pays — gated by equality with a
+//! fresh compile of the permuted network.
 
 use carta_bench::case_study;
 use carta_can::backend::BackendConfig;
@@ -147,6 +150,33 @@ fn bench_engine_throughput(c: &mut Criterion) {
                 ));
             }
         })
+    });
+
+    // Identifier reorder: the case study with its identifiers rotated
+    // by one position, rebuilt from the identity tables. Before timing,
+    // the reordered tables must equal a fresh compile of the permuted
+    // network and solve to the same report.
+    let mut rotated = nets[0].clone();
+    let mut ids: Vec<_> = rotated.messages().iter().map(|m| m.id).collect();
+    ids.rotate_left(1);
+    for (m, id) in rotated.messages_mut().iter_mut().zip(ids) {
+        m.id = id;
+    }
+    let fresh = CompiledBus::compile(&rotated, config.stuffing).expect("valid case study");
+    let reordered = compiled.reordered(&rotated);
+    assert_eq!(reordered.hp_sets(), fresh.hp_sets(), "reordered hp sets");
+    assert_eq!(
+        reordered.interference_sets(),
+        fresh.interference_sets(),
+        "reordered interference sets"
+    );
+    assert_identical(
+        &reordered.solve(&rotated, model.as_ref(), &config, &mut RtaWorkspace::new()),
+        &fresh.solve(&rotated, model.as_ref(), &config, &mut RtaWorkspace::new()),
+        "reordered solve",
+    );
+    group.bench_function("reorder_64msgs", |b| {
+        b.iter(|| black_box(compiled.reordered(black_box(&rotated))))
     });
     group.finish();
 }

@@ -240,7 +240,7 @@ fn main() {
             "bench",
             "scale (multi-core batch solve, deterministic chunking)",
         )
-        .string("date", "2026-08-09")
+        .string("date", "2026-10-18")
         .string("command", "cargo run --release -p carta-bench --bin scale")
         .raw(
             "machine",

@@ -295,8 +295,9 @@ pub struct CompiledBus {
     /// One bit time on this bus.
     tau: Time,
     /// Interned message names, shared by every report produced from
-    /// these tables (cloning an `Arc<str>` is a refcount bump).
-    names: Vec<Arc<str>>,
+    /// these tables (cloning an `Arc<str>` is a refcount bump) and by
+    /// every reordering of them (one refcount bump for the whole list).
+    names: Arc<[Arc<str>]>,
     ids: Vec<CanId>,
     c_max: Vec<Time>,
     c_min: Vec<Time>,
@@ -363,7 +364,17 @@ impl CompiledBus {
     }
 
     /// Shared table construction; `net` is already validated.
-    fn tables(net: &CanNetwork, stuffing: StuffingMode, names: Vec<Arc<str>>) -> Self {
+    ///
+    /// Each message's arbitration key is derived once and the messages
+    /// are sorted by it. Walking that order from the top, the indices
+    /// passed so far are exactly the next message's hp set; walking it
+    /// from the bottom, they are its lp set. Both walks keep the passed
+    /// indices in one buffer sorted by index, so every set comes out in
+    /// ascending index order (the order diagnostics print interference
+    /// sets in) and costs one copy, not a scan of all `n` messages.
+    /// Equal keys (never on a validated network) stay out of each
+    /// other's sets, as a pairwise comparison would keep them.
+    fn tables(net: &CanNetwork, stuffing: StuffingMode, names: Arc<[Arc<str>]>) -> Self {
         let msgs = net.messages();
         let n = msgs.len();
         let rate = net.bit_rate();
@@ -373,23 +384,37 @@ impl CompiledBus {
             .iter()
             .map(|m| backend.c_min(m.id.kind(), m.dlc, rate))
             .collect();
-        let mut hp = Vec::with_capacity(n);
-        let mut interference = Vec::with_capacity(n);
-        let mut blocking = Vec::with_capacity(n);
-        let mut per_hit = Vec::with_capacity(n);
-        for (i, m) in msgs.iter().enumerate() {
-            let key = m.id.arbitration_key();
-            let hp_i: Vec<usize> = (0..n)
-                .filter(|&j| msgs[j].id.arbitration_key() < key)
-                .collect();
-            let lp_i: Vec<usize> = (0..n)
-                .filter(|&j| j != i && msgs[j].id.arbitration_key() > key)
-                .collect();
-            let row = MessageRow::new(net, &c_max, i, &hp_i, &lp_i);
-            hp.push(hp_i);
-            interference.push(row.interference);
-            blocking.push(row.blocking);
-            per_hit.push(row.per_hit);
+        let error_frame = Time::from_bits(backend.backend().error_frame_bits(), rate);
+        let keys: Vec<u64> = msgs.iter().map(|m| m.id.arbitration_key()).collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&i| keys[i]);
+        let same_key = |a: &usize, b: &usize| keys[*a] == keys[*b];
+        let mut passed: Vec<usize> = Vec::with_capacity(n);
+        let pass = |passed: &mut Vec<usize>, group: &[usize]| {
+            for &i in group {
+                let at = passed.partition_point(|&j| j < i);
+                passed.insert(at, i);
+            }
+        };
+        let mut hp = vec![Vec::new(); n];
+        for group in order.chunk_by(same_key) {
+            for &i in group {
+                hp[i] = passed.clone();
+            }
+            pass(&mut passed, group);
+        }
+        passed.clear();
+        let mut interference = vec![Vec::new(); n];
+        let mut blocking = vec![Time::ZERO; n];
+        let mut per_hit = vec![Time::ZERO; n];
+        for group in order.chunk_by(same_key).rev() {
+            for &i in group {
+                let row = MessageRow::new(net, &c_max, i, &hp[i], &passed, error_frame);
+                interference[i] = row.interference;
+                blocking[i] = row.blocking;
+                per_hit[i] = row.per_hit;
+            }
+            pass(&mut passed, group);
         }
         CompiledBus {
             epoch: next_epoch(),
@@ -829,22 +854,28 @@ pub(crate) struct MessageRow {
 impl MessageRow {
     /// The row of message `i` of `net` with higher-priority set `hp`
     /// and lower-priority set `lp`; `c_max` are the worst-case frame
-    /// times of all messages.
+    /// times of all messages and `error_frame` is the bus's error-frame
+    /// time.
     pub(crate) fn new(
         net: &CanNetwork,
         c_max: &[Time],
         i: usize,
         hp: &[usize],
         lp: &[usize],
+        error_frame: Time,
     ) -> Self {
         let msgs = net.messages();
         let m = &msgs[i];
         let controller = net.controller_of(m);
         let same_node = |j: usize| msgs[j].sender == m.sender;
-        let mut interference = hp.to_vec();
-        if !matches!(controller, ControllerType::FullCan) {
-            interference.extend(lp.iter().copied().filter(|&j| !same_node(j)));
-        }
+        let interference = if matches!(controller, ControllerType::FullCan) {
+            hp.to_vec()
+        } else {
+            let mut set = Vec::with_capacity(hp.len() + lp.len());
+            set.extend_from_slice(hp);
+            set.extend(lp.iter().copied().filter(|&j| !same_node(j)));
+            set
+        };
         let blocking = match controller {
             ControllerType::FullCan => lp.iter().map(|&j| c_max[j]).max().unwrap_or(Time::ZERO),
             ControllerType::BasicCan => lp
@@ -868,8 +899,6 @@ impl MessageRow {
             .iter()
             .map(|&j| c_max[j])
             .fold(c_max[i], Time::max);
-        let error_frame =
-            Time::from_bits(net.backend().backend().error_frame_bits(), net.bit_rate());
         MessageRow {
             interference,
             blocking,

@@ -86,6 +86,7 @@ fn place(
     let msgs = net.messages();
     let c_max = c_max_vector(net, config.stuffing);
     let tau = bit_time(net.bit_rate());
+    let error_frame = Time::from_bits(net.backend().backend().error_frame_bits(), net.bit_rate());
     let activations: Vec<EventModel> = msgs.iter().map(|m| m.activation).collect();
     let hook = test_mutations::drop_blocking();
 
@@ -103,7 +104,7 @@ fn place(
                 .copied()
                 .filter(|&j| j != candidate)
                 .collect();
-            let row = MessageRow::new(net, &c_max, candidate, &hp, &assigned_low);
+            let row = MessageRow::new(net, &c_max, candidate, &hp, &assigned_low, error_frame);
             let blocking = if hook { Time::ZERO } else { row.blocking };
             busy_window(
                 &activations,
